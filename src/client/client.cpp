@@ -1,8 +1,10 @@
 #include "client/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 
@@ -25,29 +27,8 @@ serial::Bytes encode_payload(const auto& msg) {
 
 Result<net::Message> round_trip(const net::Endpoint& peer, std::uint16_t type,
                                 const serial::Bytes& payload, double timeout,
-                                const net::LinkShape& shape = net::LinkShape::unshaped(),
-                                double connect_timeout = 5.0, bool pooled = true) {
-  if (pooled) {
-    return net::pool_round_trip(peer, type, payload, timeout,
-                                std::min(timeout, connect_timeout), shape);
-  }
-  auto conn = net::TcpConnection::connect(peer, std::min(timeout, connect_timeout));
-  if (!conn.ok()) return conn.error();
-  NS_RETURN_IF_ERROR(net::send_message(conn.value(), type, payload, shape));
-  return net::recv_message(conn.value(), timeout);
-}
-
-/// Fire-and-forget message (failure/metrics reports — the receiver never
-/// replies on these exchanges, so a pooled connection stays clean).
-void post(const net::Endpoint& peer, std::uint16_t type, const serial::Bytes& payload,
-          bool pooled = true) {
-  if (pooled) {
-    (void)net::pool_post(peer, type, payload, /*dial_timeout_s=*/1.0);
-    return;
-  }
-  auto conn = net::TcpConnection::connect(peer, 1.0);
-  if (!conn.ok()) return;
-  (void)net::send_message(conn.value(), type, payload);
+                                double connect_timeout = 5.0) {
+  return net::pool_round_trip(peer, type, payload, timeout, std::min(timeout, connect_timeout));
 }
 
 Error decode_error_reply(const net::Message& msg) {
@@ -56,6 +37,168 @@ Error decode_error_reply(const net::Message& msg) {
   if (!reply.ok()) return make_error(ErrorCode::kProtocol, "malformed error reply");
   return make_error(static_cast<ErrorCode>(reply.value().error_code), reply.value().message);
 }
+
+/// A live deadline budget caps every attempt's wait: there is no point
+/// blocking past the moment the caller stops caring about the answer.
+double attempt_timeout(const ClientConfig& config, const proto::SolveRequest& request) {
+  return request.deadline_s > 0.0 ? std::min(config.io_timeout_s, request.deadline_s)
+                                  : config.io_timeout_s;
+}
+
+/// The SolveResult carried by a mux reply to `request_id`, or why there is none.
+Result<proto::SolveResult> decode_solve_reply(Result<net::Message> reply,
+                                              std::uint64_t request_id) {
+  if (!reply.ok()) return reply.error();
+  if (reply.value().type != static_cast<std::uint16_t>(MessageType::kSolveResult)) {
+    return make_error(ErrorCode::kProtocol, "expected SolveResult from server");
+  }
+  serial::Decoder dec(reply.value().payload);
+  auto result = proto::SolveResult::decode(dec);
+  if (!result.ok()) return result.error();
+  if (result.value().request_id != request_id) {
+    return make_error(ErrorCode::kProtocol, "response id mismatch");
+  }
+  return result;
+}
+
+/// The attempts of one hedged race. Each is an async mux call whose
+/// completion — run on that channel's reader thread — fills the attempt's
+/// slot; the calling thread waits on the slots and times them out. The race
+/// lives on the caller's stack, and its destructor ends it (see end()), so no
+/// completion outlives the call.
+class HedgeRace {
+ public:
+  struct Slot final : net::MuxCompletion {
+    HedgeRace* race = nullptr;
+    proto::ServerCandidate candidate;
+    net::MuxChannelPtr channel;  // null when the dial failed
+    double start = 0.0;          // call-relative offset, for the attempt span
+    double sent_at = 0.0;        // now_seconds() when the attempt began
+    double expires_at = 0.0;     // now_seconds() at which the attempt times out
+    double io_seconds = 0.0;
+    std::optional<Result<net::Message>> reply;
+    bool processed = false;
+
+    void complete(Result<net::Message> r) override {
+      // Notify under the lock: the race may end (and go away) the moment it
+      // observes the reply.
+      std::lock_guard<std::mutex> lock(race->mu_);
+      io_seconds = now_seconds() - sent_at;
+      reply.emplace(std::move(r));
+      race->cv_.notify_all();
+    }
+  };
+
+  explicit HedgeRace(std::uint64_t request_id) : request_id_(request_id) {}
+  ~HedgeRace() { end(); }
+
+  /// Send the SolveRequest `payload` to `cand` over its mux channel.
+  Slot& launch(const proto::ServerCandidate& cand, double start, double timeout,
+               const serial::Bytes& payload, const net::LinkShape& link) {
+    Slot& slot = slots_[launched_++];
+    slot.race = this;
+    slot.candidate = cand;
+    slot.start = start;
+    slot.sent_at = now_seconds();
+    auto channel =
+        net::ConnectionPool::instance().channel(cand.endpoint, std::min(2.0, timeout));
+    if (!channel.ok()) {
+      slot.reply.emplace(channel.error());  // never registered: no completion races this
+      return slot;
+    }
+    slot.channel = std::move(channel.value());
+    slot.channel->start(static_cast<std::uint16_t>(MessageType::kSolveRequest), payload,
+                        kReplyType, request_id_, &slot, link);
+    slot.expires_at = now_seconds() + timeout;
+    return slot;
+  }
+
+  /// The next finished attempt, or nullptr once `hedge_at` (a now_seconds()
+  /// instant) passes first. An attempt past its timeout is withdrawn and
+  /// finishes with kTimeout, exactly like a synchronous mux call. Only call
+  /// while unsettled().
+  Slot* next(double hedge_at) {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto finished = [&]() -> Slot* {
+      for (std::size_t i = 0; i < launched_; ++i) {
+        if (slots_[i].reply.has_value() && !slots_[i].processed) return &slots_[i];
+      }
+      return nullptr;
+    };
+    for (;;) {
+      if (Slot* done = finished()) {
+        done->processed = true;
+        return done;
+      }
+      const double now = now_seconds();
+      if (now >= hedge_at) return nullptr;
+      double wake = hedge_at;
+      Slot* expired = nullptr;
+      for (std::size_t i = 0; i < launched_; ++i) {
+        if (slots_[i].reply.has_value()) continue;
+        if (slots_[i].expires_at <= now) expired = &slots_[i];
+        wake = std::min(wake, slots_[i].expires_at);
+      }
+      if (expired == nullptr) {
+        cv_.wait_for(lock, std::chrono::duration<double>(wake - now),
+                     [&] { return finished() != nullptr; });
+      } else if (withdraw(*expired, lock)) {
+        expired->reply.emplace(make_error(ErrorCode::kTimeout, "mux call timed out"));
+      }
+    }
+  }
+
+  /// Any launched attempt whose outcome has not been taken by next()?
+  bool unsettled() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < launched_; ++i) {
+      if (!slots_[i].processed) return true;
+    }
+    return false;
+  }
+
+  /// End the race: withdraw every attempt still in flight and CANCEL it on
+  /// its own channel with no reply awaited (the server's ack is read and
+  /// dropped whole), so this never dials and never waits. Results next()
+  /// has not handed out are dropped.
+  void end() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (std::size_t i = 0; i < launched_; ++i) {
+      Slot& slot = slots_[i];
+      if (slot.processed) continue;
+      slot.processed = true;
+      if (slot.reply.has_value() || !withdraw(slot, lock)) continue;
+      lock.unlock();
+      metrics::counter("client.cancel_sent_total").inc();
+      proto::CancelRequest cancel;
+      cancel.request_id = request_id_;
+      slot.channel->start(static_cast<std::uint16_t>(MessageType::kCancelRequest),
+                          encode_payload(cancel),
+                          static_cast<std::uint16_t>(MessageType::kCancelAck), request_id_,
+                          /*done=*/nullptr);
+      lock.lock();
+    }
+  }
+
+ private:
+  /// Withdraw an in-flight attempt; `lock` holds mu_. False: its completion
+  /// was already running, and has now filled the slot.
+  bool withdraw(Slot& slot, std::unique_lock<std::mutex>& lock) {
+    lock.unlock();
+    const bool withdrawn = slot.channel->withdraw(request_id_, kReplyType, &slot);
+    lock.lock();
+    if (!withdrawn) cv_.wait(lock, [&] { return slot.reply.has_value(); });
+    return withdrawn;
+  }
+
+  static constexpr auto kReplyType = static_cast<std::uint16_t>(MessageType::kSolveResult);
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::array<Slot, 2> slots_;  // primary, backup
+  std::size_t launched_ = 0;
+  const std::uint64_t request_id_;
+};
 
 std::uint64_t request_size_hint(const std::vector<dsl::DataObject>& args) {
   // The client does not know which argument the problem's complexity model
@@ -108,9 +251,8 @@ Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
   Error last_error = make_error(ErrorCode::kAgentUnavailable, "no agent reachable");
   bool failed_over = false;
   for (const std::size_t index : agent_order()) {
-    auto reply = round_trip(config_.agents[index], type, payload, timeout,
-                            net::LinkShape::unshaped(), config_.agent_connect_timeout_s,
-                            config_.pooled_transport);
+    auto reply =
+        round_trip(config_.agents[index], type, payload, timeout, config_.agent_connect_timeout_s);
     if (reply.ok()) {
       // Any reply — even an ErrorReply — means the agent is up.
       note_agent_result(index, true);
@@ -136,7 +278,8 @@ void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Bytes& payl
     std::lock_guard<std::mutex> lock(agents_mu_);
     if (agent_health_[index].down_until > now_seconds()) return;  // everyone is down
   }
-  post(config_.agents[index], type, payload, config_.pooled_transport);
+  // The agent never replies to reports, so the pooled connection stays clean.
+  (void)net::pool_post(config_.agents[index], type, payload, /*dial_timeout_s=*/1.0);
 }
 
 Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& problem,
@@ -202,43 +345,19 @@ Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate&
                                                    const proto::SolveRequest& request,
                                                    double* io_seconds) {
   const Stopwatch watch;
-  // A live deadline budget caps every wait: there is no point blocking past
-  // the moment the caller stops caring about the answer.
-  const double timeout = request.deadline_s > 0.0
-                             ? std::min(config_.io_timeout_s, request.deadline_s)
-                             : config_.io_timeout_s;
-  Result<net::Message> reply = make_error(ErrorCode::kInternal, "no attempt transport");
-  if (config_.pooled_transport) {
-    // Pipelined path: every attempt against this server shares one socket;
-    // the reply is demultiplexed by request id, so concurrent netsl_nb calls
-    // and hedges interleave instead of dialing a connection each.
-    auto channel =
-        net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
-    if (!channel.ok()) return channel.error();
-    reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
-                                  encode_payload(request),
-                                  static_cast<std::uint16_t>(MessageType::kSolveResult),
-                                  request.request_id, timeout, config_.link);
-  } else {
-    auto conn = net::TcpConnection::connect(candidate.endpoint, std::min(2.0, timeout));
-    if (!conn.ok()) return conn.error();
-    NS_RETURN_IF_ERROR(net::send_message(
-        conn.value(), static_cast<std::uint16_t>(MessageType::kSolveRequest),
-        encode_payload(request), config_.link));
-    reply = net::recv_message(conn.value(), timeout);
-  }
-  if (!reply.ok()) return reply.error();
-  if (io_seconds != nullptr) *io_seconds = watch.elapsed();
-  if (reply.value().type != static_cast<std::uint16_t>(MessageType::kSolveResult)) {
-    return make_error(ErrorCode::kProtocol, "expected SolveResult from server");
-  }
-  serial::Decoder dec(reply.value().payload);
-  auto result = proto::SolveResult::decode(dec);
-  if (!result.ok()) return result.error();
-  if (result.value().request_id != request.request_id) {
-    return make_error(ErrorCode::kProtocol, "response id mismatch");
-  }
-  return result;
+  const double timeout = attempt_timeout(config_, request);
+  // Pipelined: every attempt against this server shares one socket; the
+  // reply is demultiplexed by request id, so concurrent netsl_nb calls and
+  // hedges interleave instead of dialing a connection each.
+  auto channel =
+      net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
+  if (!channel.ok()) return channel.error();
+  auto reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
+                                     encode_payload(request),
+                                     static_cast<std::uint16_t>(MessageType::kSolveResult),
+                                     request.request_id, timeout, config_.link);
+  if (reply.ok() && io_seconds != nullptr) *io_seconds = watch.elapsed();
+  return decode_solve_reply(std::move(reply), request.request_id);
 }
 
 void NetSolveClient::report_failure(proto::ServerId id, ErrorCode code) {
@@ -272,32 +391,6 @@ double NetSolveClient::hedge_delay_for(const std::string& problem) const {
   if (hist.count() < config_.hedge_min_samples) return config_.hedge_delay_s;
   const double q = hist.percentile(config_.hedge_quantile);
   return q > 0.0 ? q : config_.hedge_delay_s;
-}
-
-void NetSolveClient::post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id) {
-  begin_background();
-  const bool pooled = config_.pooled_transport;
-  std::thread([this, peer, request_id, pooled] {
-    proto::CancelRequest cancel;
-    cancel.request_id = request_id;
-    if (pooled) {
-      // The server acks every CANCEL, so fire-and-forget over a pooled lease
-      // would leave the ack in the stream for the next leaseholder. Ride the
-      // mux channel instead: the ack demultiplexes by request id, and this
-      // thread exists precisely so waiting costs the caller nothing.
-      auto channel = net::ConnectionPool::instance().channel(peer, /*dial_timeout_s=*/1.0);
-      if (channel.ok()) {
-        (void)channel.value()->call(
-            static_cast<std::uint16_t>(MessageType::kCancelRequest), encode_payload(cancel),
-            static_cast<std::uint16_t>(MessageType::kCancelAck), request_id,
-            /*timeout_s=*/2.0);
-      }
-    } else {
-      post(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
-           encode_payload(cancel), /*pooled=*/false);
-    }
-    end_background();  // last touch of the client
-  }).detach();
 }
 
 void NetSolveClient::begin_background() {
@@ -410,6 +503,77 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     sort_spans();
     metrics::histogram("client.call_s").observe(st.total_seconds);
     return std::move(result.outputs);
+  };
+
+  // Judges one finished attempt; `race` is the hedged race it ran in (null
+  // for a plain attempt) and `backup` says it was that race's hedge. Returns
+  // the call's result when the attempt ends the call, nullopt to go on down
+  // the ranked list. Every outcome but a retryable failure ends the race,
+  // cancelling a sibling still in flight.
+  const auto settle = [&](const proto::ServerCandidate& cand,
+                          Result<proto::SolveResult> result, double attempt_start,
+                          double io_seconds, HedgeRace* race,
+                          bool backup) -> std::optional<Result<std::vector<dsl::DataObject>>> {
+    const auto end_race = [&] {
+      if (race != nullptr) race->end();
+    };
+    if (!result.ok()) {
+      // Transport-level failure: blacklist and move on.
+      add_span("client.attempt", attempt_start, total_watch.elapsed() - attempt_start);
+      NS_DEBUG("client") << "attempt on " << cand.server_name
+                         << " failed: " << result.error().to_string();
+      last_error = result.error();
+      report_failure(cand.server_id, result.error().code);
+      if (is_retryable(result.error().code)) return std::nullopt;
+      end_race();
+      return fail(result.error());
+    }
+    const auto code = static_cast<ErrorCode>(result.value().error_code);
+    if (code == ErrorCode::kOk) {
+      end_race();
+      if (backup) metrics::counter("client.hedge_wins_total").inc();
+      return finish_success(cand, std::move(result.value()), attempt_start, io_seconds);
+    }
+    add_span("client.attempt", attempt_start, io_seconds);
+    if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
+      // The job is still running on the destination server (drain moved it
+      // with its checkpoint): follow the forwarding address and wait there
+      // rather than starting a duplicate solve elsewhere. A racing sibling
+      // is cancelled first — the migrated job already owns the answer.
+      end_race();
+      const net::Endpoint dest{result.value().migrated_host, result.value().migrated_port};
+      metrics::counter("client.migrations_followed_total").inc();
+      NS_DEBUG("client") << "request " << request.request_id << " migrated to " << dest.host
+                         << ":" << dest.port << "; following";
+      const double follow_budget = budgeted ? deadline.remaining() : config_.io_timeout_s;
+      auto followed = wait_for_job(dest, request.request_id, follow_budget);
+      if (followed.ok() &&
+          static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
+        return finish_success(cand, std::move(followed.value()), attempt_start,
+                              total_watch.elapsed() - attempt_start);
+      }
+      // Dead end (destination unreachable or the job failed there too). The
+      // solve is idempotent, so falling back to a fresh attempt on the next
+      // candidate is safe.
+      last_error = make_error(ErrorCode::kMigrated, "migration follow failed for request " +
+                                                        std::to_string(request.request_id));
+      return std::nullopt;
+    }
+    Error err = make_error(code, result.value().error_message);
+    if (!is_retryable(code)) {
+      end_race();
+      return fail(std::move(err));  // the request itself is bad; retrying cannot help
+    }
+    NS_DEBUG("client") << "server " << cand.server_name
+                       << " replied failure: " << err.to_string();
+    pending_retry_after = std::max(pending_retry_after, result.value().retry_after_s);
+    last_error = std::move(err);
+    // An overload rejection is an admission decision by a healthy server,
+    // not a fault: reporting it would quarantine the very pool that is
+    // asking us to back off. The agent learns about the pressure from the
+    // server's own workload reports instead.
+    if (code != ErrorCode::kServerOverloaded) report_failure(cand.server_id, code);
+    return std::nullopt;
   };
 
   // Hedge delay for this call (0 = hedging off): the observed per-problem
@@ -555,8 +719,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
             fetch.adopt = true;
             auto reply = round_trip(
                 peer.endpoint, static_cast<std::uint16_t>(MessageType::kCheckpointFetch),
-                encode_payload(fetch), /*timeout=*/2.0, net::LinkShape::unshaped(),
-                /*connect_timeout=*/2.0, config_.pooled_transport);
+                encode_payload(fetch), /*timeout=*/2.0, /*connect_timeout=*/2.0);
             if (!reply.ok() ||
                 reply.value().type !=
                     static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply)) {
@@ -581,228 +744,59 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
           }
         }
 
-        if (!result.ok()) {
-          // Transport-level failure: blacklist and move on.
-          add_span("client.attempt", attempt_start, total_watch.elapsed() - attempt_start);
-          NS_DEBUG("client") << "attempt on " << candidate.server_name
-                             << " failed: " << result.error().to_string();
-          last_error = result.error();
-          report_failure(candidate.server_id, result.error().code);
-          if (!is_retryable(result.error().code)) return fail(result.error());
-          continue;
+        if (auto out = settle(candidate, std::move(result), attempt_start, io_seconds,
+                              /*race=*/nullptr, /*backup=*/false)) {
+          return std::move(*out);
         }
-
-        const auto code = static_cast<ErrorCode>(result.value().error_code);
-        if (code != ErrorCode::kOk) {
-          add_span("client.attempt", attempt_start, io_seconds);
-          if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
-            // The job is still running on the destination server (drain moved
-            // it with its checkpoint): follow the forwarding address and wait
-            // there rather than starting a duplicate solve elsewhere.
-            const net::Endpoint dest{result.value().migrated_host,
-                                     result.value().migrated_port};
-            metrics::counter("client.migrations_followed_total").inc();
-            NS_DEBUG("client") << "request " << request.request_id << " migrated to "
-                               << dest.host << ":" << dest.port << "; following";
-            const double follow_budget =
-                budgeted ? deadline.remaining() : config_.io_timeout_s;
-            auto followed = wait_for_job(dest, request.request_id, follow_budget);
-            if (followed.ok() &&
-                static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
-              return finish_success(candidate, std::move(followed.value()), attempt_start,
-                                    total_watch.elapsed() - attempt_start);
-            }
-            // Dead end (destination unreachable or the job failed there too).
-            // The solve is idempotent, so falling back to a fresh attempt on
-            // the next candidate is safe.
-            last_error = make_error(ErrorCode::kMigrated,
-                                    "migration follow failed for request " +
-                                        std::to_string(request.request_id));
-            continue;
-          }
-          Error err = make_error(code, result.value().error_message);
-          if (is_retryable(code)) {
-            NS_DEBUG("client") << "server " << candidate.server_name
-                               << " replied failure: " << err.to_string();
-            pending_retry_after =
-                std::max(pending_retry_after, result.value().retry_after_s);
-            last_error = std::move(err);
-            // An overload rejection is an admission decision by a healthy
-            // server, not a fault: reporting it would quarantine the very
-            // pool that is asking us to back off. The agent learns about the
-            // pressure from the server's own workload reports instead.
-            if (code != ErrorCode::kServerOverloaded) {
-              report_failure(candidate.server_id, code);
-            }
-            continue;
-          }
-          return fail(std::move(err));  // the request itself is bad; retrying cannot help
-        }
-        return finish_success(candidate, std::move(result.value()), attempt_start,
-                              io_seconds);
+        continue;
       }
 
       // ---- hedged race ----
       //
-      // Launch the primary now; if it is still outstanding after the hedge
-      // delay, race a backup on the next-ranked candidate. First result
-      // wins; the loser is actively cancelled (fire-and-forget CANCEL) so
-      // it stops burning a remote worker slot. Losing attempts never touch
-      // the retry bookkeeping — they are discarded, not failures.
-      struct Slot {
-        proto::ServerCandidate candidate;
-        double start = 0.0;
-        double io_seconds = 0.0;
-        std::optional<Result<proto::SolveResult>> result;
-        bool processed = false;
-      };
-      struct Race {
-        std::mutex mu;
-        std::condition_variable cv;
-      };
-      auto race = std::make_shared<Race>();
-      std::vector<std::shared_ptr<Slot>> slots;
-
-      const auto launch = [&](const proto::ServerCandidate& cand) {
-        auto slot = std::make_shared<Slot>();
-        slot->candidate = cand;
-        slot->start = total_watch.elapsed();
-        slots.push_back(slot);
-        proto::SolveRequest req = request;
-        req.deadline_s = budgeted ? deadline.remaining() : 0.0;
-        begin_background();
-        std::thread([this, race, slot, req = std::move(req)] {
-          double io = 0.0;
-          auto r = attempt(slot->candidate, req, &io);
-          {
-            std::lock_guard<std::mutex> lock(race->mu);
-            slot->io_seconds = io;
-            slot->result.emplace(std::move(r));
-          }
-          race->cv.notify_all();
-          end_background();  // last touch of the client
-        }).detach();
-      };
-      // Cancel every slot still in flight (the winner is already out).
-      const auto cancel_losers = [&] {
-        std::lock_guard<std::mutex> lock(race->mu);
-        for (const auto& s : slots) {
-          if (s->result.has_value()) continue;
-          metrics::counter("client.cancel_sent_total").inc();
-          post_cancel_async(s->candidate.endpoint, request.request_id);
-        }
+      // Send the primary now; if it is still outstanding after the hedge
+      // delay, race a backup on the next-ranked candidate. Both attempts are
+      // async mux calls completed by their channels' reader threads. First
+      // result wins; the loser is actively cancelled (CANCEL on its own
+      // channel) so it stops burning a remote worker slot, and leaving the
+      // race withdraws it. Losing attempts never touch the retry bookkeeping
+      // — they are discarded, not failures.
+      HedgeRace race(request.request_id);
+      const auto launch = [&](const proto::ServerCandidate& cand) -> HedgeRace::Slot& {
+        request.deadline_s = budgeted ? deadline.remaining() : 0.0;
+        return race.launch(cand, total_watch.elapsed(), attempt_timeout(config_, request),
+                           encode_payload(request), config_.link);
       };
 
-      launch(candidate);
-      bool hedge_launched = false;
-      const Deadline hedge_at(hedge_delay);
+      const HedgeRace::Slot* const primary = &launch(candidate);
+      double hedge_at = now_seconds() + hedge_delay;
       std::size_t consumed = 1;
 
       for (;;) {
-        std::shared_ptr<Slot> done;
-        {
-          std::unique_lock<std::mutex> lock(race->mu);
-          const auto next_done = [&]() -> std::shared_ptr<Slot> {
-            for (const auto& s : slots) {
-              if (s->result.has_value() && !s->processed) return s;
-            }
-            return nullptr;
-          };
-          if (!hedge_launched) {
-            const bool finished = race->cv.wait_for(
-                lock, std::chrono::duration<double>(std::max(hedge_at.remaining(), 0.0)),
-                [&] { return next_done() != nullptr; });
-            if (!finished) {
-              lock.unlock();
-              // Hedge delay elapsed with the primary still outstanding.
-              hedge_launched = true;
-              st.hedged = true;
-              metrics::counter("client.hedge_total").inc();
-              ++attempts;
-              metrics::counter("client.attempts_total").inc();
-              NS_DEBUG("client") << "hedging " << problem << " on "
-                                 << candidates[ci + 1].server_name << " after "
-                                 << hedge_delay << "s";
-              launch(candidates[ci + 1]);
-              consumed = 2;
-              continue;
-            }
-          } else {
-            race->cv.wait(lock, [&] { return next_done() != nullptr; });
-          }
-          done = next_done();
-          done->processed = true;
+        HedgeRace::Slot* const done = race.next(hedge_at);
+        if (done == nullptr) {
+          // Hedge delay elapsed with the primary still outstanding.
+          hedge_at = std::numeric_limits<double>::infinity();
+          st.hedged = true;
+          metrics::counter("client.hedge_total").inc();
+          ++attempts;
+          metrics::counter("client.attempts_total").inc();
+          NS_DEBUG("client") << "hedging " << problem << " on "
+                             << candidates[ci + 1].server_name << " after " << hedge_delay
+                             << "s";
+          launch(candidates[ci + 1]);
+          consumed = 2;
+          continue;
         }
-        // The worker is finished with this slot (established under the
-        // lock); read it freely.
-        const bool was_hedge = done != slots.front();
-        auto result = std::move(*done->result);
-
-        if (!result.ok()) {
-          add_span("client.attempt", done->start, total_watch.elapsed() - done->start);
-          NS_DEBUG("client") << "attempt on " << done->candidate.server_name
-                             << " failed: " << result.error().to_string();
-          last_error = result.error();
-          report_failure(done->candidate.server_id, result.error().code);
-          if (!is_retryable(result.error().code)) {
-            cancel_losers();
-            return fail(result.error());
-          }
-        } else {
-          const auto code = static_cast<ErrorCode>(result.value().error_code);
-          if (code == ErrorCode::kOk) {
-            cancel_losers();
-            if (was_hedge) metrics::counter("client.hedge_wins_total").inc();
-            return finish_success(done->candidate, std::move(result.value()),
-                                  done->start, done->io_seconds);
-          }
-          add_span("client.attempt", done->start, done->io_seconds);
-          if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
-            // Same forwarding dance as the plain path; any racing sibling is
-            // cancelled first (the migrated job already owns the answer).
-            cancel_losers();
-            const net::Endpoint dest{result.value().migrated_host,
-                                     result.value().migrated_port};
-            metrics::counter("client.migrations_followed_total").inc();
-            const double follow_budget =
-                budgeted ? deadline.remaining() : config_.io_timeout_s;
-            auto followed = wait_for_job(dest, request.request_id, follow_budget);
-            if (followed.ok() &&
-                static_cast<ErrorCode>(followed.value().error_code) == ErrorCode::kOk) {
-              return finish_success(done->candidate, std::move(followed.value()),
-                                    done->start, total_watch.elapsed() - done->start);
-            }
-            last_error = make_error(ErrorCode::kMigrated,
-                                    "migration follow failed for request " +
-                                        std::to_string(request.request_id));
-            break;  // leave the race; move on down the ranked list
-          }
-          Error err = make_error(code, result.value().error_message);
-          if (!is_retryable(code)) {
-            cancel_losers();
-            return fail(std::move(err));
-          }
-          NS_DEBUG("client") << "server " << done->candidate.server_name
-                             << " replied failure: " << err.to_string();
-          pending_retry_after =
-              std::max(pending_retry_after, result.value().retry_after_s);
-          last_error = std::move(err);
-          // Overload = backpressure, not a fault (see the plain path above).
-          if (code != ErrorCode::kServerOverloaded) {
-            report_failure(done->candidate.server_id, code);
-          }
+        // The completion is finished with this slot (established under the
+        // race lock); read it freely.
+        if (auto out = settle(done->candidate,
+                              decode_solve_reply(std::move(*done->reply), request.request_id),
+                              done->start, done->io_seconds, &race, done != primary)) {
+          return std::move(*out);
         }
-
-        // This attempt failed retryably; keep waiting if a sibling is still
-        // racing, otherwise move on down the ranked list.
-        bool more = false;
-        {
-          std::lock_guard<std::mutex> lock(race->mu);
-          for (const auto& s : slots) {
-            if (!s->result.has_value() || !s->processed) more = true;
-          }
-        }
-        if (!more) break;
+        // A retryable failure: keep waiting if the sibling is still racing,
+        // otherwise move on down the ranked list.
+        if (!race.unsettled()) break;
       }
       ci += consumed;
     }
@@ -982,9 +976,9 @@ struct RequestHandle::State {
 };
 
 NetSolveClient::~NetSolveClient() {
-  // A dropped RequestHandle detaches its worker thread, and losing hedge
-  // attempts outlive their call; all of them still run against this client,
-  // so block (condvar, not a spin) until the last one checks out.
+  // A dropped RequestHandle detaches its worker thread, which still runs
+  // against this client: block (condvar, not a spin) until the last one
+  // checks out.
   std::unique_lock<std::mutex> lock(bg_mu_);
   bg_cv_.wait(lock, [this] { return bg_outstanding_ == 0; });
 }

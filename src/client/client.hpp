@@ -125,14 +125,6 @@ struct ClientConfig {
   /// of restarting the solve from iteration zero elsewhere. Needs servers
   /// configured with `replicas=` peers to have any effect.
   bool checkpoint_failover = false;
-
-  // ---- transport (connection reuse / pipelining) ----
-  /// Solve attempts, cancels, and agent round trips reuse pooled keep-alive
-  /// connections; solve traffic to one server pipelines over a shared
-  /// request-id-demultiplexed channel, so concurrent netsl_nb calls and
-  /// hedges share one socket instead of dialing one each. Off restores the
-  /// pre-reactor dial-per-call behaviour (the A/B baseline for benchmarks).
-  bool pooled_transport = true;
 };
 
 /// Per-call telemetry, filled when the caller passes a stats out-param.
@@ -182,9 +174,10 @@ class NetSolveClient {
         backoff_rng_(config_.backoff_seed),
         agent_health_(config_.agents.size()) {}
 
-  /// Waits for background workers (netsl_nb calls whose handles were
-  /// dropped, losing hedge attempts, in-flight cancel posts): they reference
-  /// this client and would otherwise race its teardown.
+  /// Waits for the workers of netsl_nb calls whose handles were dropped:
+  /// they reference this client and would otherwise race its teardown.
+  /// Hedge attempts and their cancels never outlive the netsl call that
+  /// started them.
   ~NetSolveClient();
 
   /// Blocking solve. Returns the problem's output list.
@@ -192,7 +185,8 @@ class NetSolveClient {
                                              const std::vector<dsl::DataObject>& args,
                                              CallStats* stats = nullptr);
 
-  /// Non-blocking solve; the returned handle owns a worker thread.
+  /// Non-blocking solve; the returned handle owns a worker thread that runs
+  /// netsl (hedges included) to completion.
   /// Lifetime: the client must outlive every in-flight request it issued
   /// (the worker calls back into this client). Dropping the handle is fine —
   /// the orphaned worker finishes in the background — but destroy the
@@ -249,11 +243,9 @@ class NetSolveClient {
   /// The hedge delay for one call: the per-problem attempt-latency quantile
   /// once enough samples exist, else the configured static delay. 0 = off.
   double hedge_delay_for(const std::string& problem) const;
-  /// Fire-and-forget CANCEL for `request_id` at `peer`, on a background
-  /// thread so the winning call's return path never blocks on the loser.
-  void post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id);
-  /// Background-worker accounting (netsl_nb workers, hedge attempts, cancel
-  /// posts). end_background() may be the thread's last touch of the client.
+  /// Background-worker accounting for netsl_nb workers (the only threads a
+  /// client starts). end_background() may be the thread's last touch of the
+  /// client.
   void begin_background();
   void end_background();
   void report_failure(proto::ServerId id, ErrorCode code);
@@ -285,8 +277,8 @@ class NetSolveClient {
   std::vector<AgentHealth> agent_health_;
   std::size_t active_agent_ = 0;
 
-  /// Live background workers; the destructor blocks on the condvar until
-  /// this drains (no busy-spin).
+  /// Live netsl_nb workers; the destructor blocks on the condvar until this
+  /// drains (no busy-spin).
   std::mutex bg_mu_;
   std::condition_variable bg_cv_;
   int bg_outstanding_ = 0;
@@ -331,7 +323,7 @@ Result<metrics::Snapshot> scrape_metrics(const net::Endpoint& peer, double timeo
 /// Cancel `request_id` on the server at `peer` and wait for the ack. The
 /// outcome reports how far the request had progressed (queued, running, or
 /// already completed/unknown). Used by operators and tests; the client's own
-/// hedge-loser cancellation is fire-and-forget.
+/// hedge-loser cancellation is fire-and-forget on the loser's mux channel.
 Result<proto::CancelAck> cancel_request(const net::Endpoint& peer, std::uint64_t request_id,
                                         double timeout_s = 5.0);
 

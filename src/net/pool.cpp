@@ -4,7 +4,9 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdlib>
+#include <optional>
 
 #include "common/clock.hpp"
 #include "common/memgov.hpp"
@@ -32,6 +34,14 @@ std::uint64_t peek_request_id(const serial::Bytes& payload) {
 /// starts, never in the middle of one. A stall fault is exactly mid-frame
 /// silence, and one second bounds how long it can poison a shared channel.
 constexpr double kMidFrameProgressTimeout = 1.0;
+
+/// Idle connections older than this are dropped at lease/release time. Kept
+/// comfortably below the server/agent reactor idle timeout (10 s) so the
+/// client discards before the peer does.
+constexpr double kIdleTimeoutS = 2.5;
+
+/// Idle connections kept per endpoint beyond which release() discards.
+constexpr std::size_t kMaxIdlePerEndpoint = 8;
 
 /// A cached idle connection is reusable only if it is silent and open: a
 /// pending EOF means the peer's idle sweep closed it while it sat in the
@@ -93,20 +103,6 @@ ConnectionPool& ConnectionPool::instance() {
   return *pool;
 }
 
-void ConnectionPool::configure(const PoolConfig& config) {
-  std::lock_guard lock(mu_);
-  config_ = config;
-  if (!config_.enabled) {
-    idle_.clear();
-    channels_.clear();
-  }
-}
-
-PoolConfig ConnectionPool::config() const {
-  std::lock_guard lock(mu_);
-  return config_;
-}
-
 Status ConnectionPool::check_busy_window(const std::string& key) {
   std::lock_guard lock(mu_);
   auto it = busy_until_.find(key);
@@ -140,26 +136,24 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
   NS_RETURN_IF_ERROR(check_busy_window(key));
   {
     std::lock_guard lock(mu_);
-    if (config_.enabled) {
-      auto it = idle_.find(key);
-      if (it != idle_.end()) {
-        const double now = now_seconds();
-        auto& dq = it->second;
-        while (!dq.empty()) {
-          IdleConn cand = std::move(dq.front());
-          dq.pop_front();
-          if (now - cand.since > config_.idle_timeout_s) continue;  // stale, drop
-          if (!idle_conn_usable(cand.conn)) continue;  // peer closed / dirty stream
-          PooledConn lease;
-          lease.pool_ = this;
-          lease.conn_ = std::move(cand.conn);
-          lease.key_ = key;
-          lease.reused_ = true;
-          metrics::counter("net.pool.hits_total").inc();
-          return lease;
-        }
-        idle_.erase(it);
+    auto it = idle_.find(key);
+    if (it != idle_.end()) {
+      const double now = now_seconds();
+      auto& dq = it->second;
+      while (!dq.empty()) {
+        IdleConn cand = std::move(dq.front());
+        dq.pop_front();
+        if (now - cand.since > kIdleTimeoutS) continue;  // stale, drop
+        if (!idle_conn_usable(cand.conn)) continue;     // peer closed / dirty stream
+        PooledConn lease;
+        lease.pool_ = this;
+        lease.conn_ = std::move(cand.conn);
+        lease.key_ = key;
+        lease.reused_ = true;
+        metrics::counter("net.pool.hits_total").inc();
+        return lease;
       }
+      idle_.erase(it);
     }
   }
 
@@ -178,14 +172,12 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
 
 void ConnectionPool::give_back(const std::string& key, TcpConnection conn) {
   std::lock_guard lock(mu_);
-  if (!config_.enabled) return;
   auto& dq = idle_[key];
   const double now = now_seconds();
-  while (!dq.empty() && (dq.size() >= config_.max_idle_per_endpoint ||
-                         now - dq.front().since > config_.idle_timeout_s)) {
+  while (!dq.empty() &&
+         (dq.size() >= kMaxIdlePerEndpoint || now - dq.front().since > kIdleTimeoutS)) {
     dq.pop_front();
   }
-  if (dq.size() >= config_.max_idle_per_endpoint) return;
   dq.push_back(IdleConn{std::move(conn), now});
 }
 
@@ -195,28 +187,22 @@ Result<MuxChannelPtr> ConnectionPool::channel(const Endpoint& remote, double dia
   }
   const std::string key = remote.to_string();
   NS_RETURN_IF_ERROR(check_busy_window(key));
-  bool pooling = true;
   {
     std::lock_guard lock(mu_);
-    pooling = config_.enabled;
-    if (pooling) {
-      auto it = channels_.find(key);
-      if (it != channels_.end()) {
-        if (it->second->healthy()) return it->second;
-        channels_.erase(it);  // poisoned: evict, redial below
-        metrics::counter("net.mux.evicted_total").inc();
-      }
+    auto it = channels_.find(key);
+    if (it != channels_.end()) {
+      if (it->second->healthy()) return it->second;
+      channels_.erase(it);  // poisoned: evict, redial below
+      metrics::counter("net.mux.evicted_total").inc();
     }
   }
   auto conn = TcpConnection::connect_raw(remote, dial_timeout_s);
   if (!conn.ok()) return conn.error();
   auto channel = MuxChannelPtr(new MuxChannel(std::move(conn.value()), remote));
-  if (pooling) {
-    std::lock_guard lock(mu_);
-    auto it = channels_.find(key);
-    if (it != channels_.end() && it->second->healthy()) return it->second;
-    channels_[key] = channel;
-  }
+  std::lock_guard lock(mu_);
+  auto it = channels_.find(key);
+  if (it != channels_.end() && it->second->healthy()) return it->second;
+  channels_[key] = channel;
   return channel;
 }
 
@@ -263,28 +249,32 @@ bool MuxChannel::healthy() const {
 }
 
 void MuxChannel::poison(const Error& why) {
+  std::map<std::pair<std::uint64_t, std::uint16_t>, MuxCompletion*> orphans;
   {
     std::lock_guard lock(mu_);
     if (dead_) return;
     dead_ = true;
     death_ = why;
+    orphans.swap(pending_);
   }
   // Wake the reader (and fail its current read) without freeing the fd: a
   // concurrent reader must never race a recycled descriptor number.
   conn_.shutdown_both();
-  cv_.notify_all();
   metrics::counter("net.mux.poisoned_total").inc();
+  for (const auto& [key, done] : orphans) done->complete(why);
 }
 
-Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes& payload,
-                                 std::uint16_t reply_type, std::uint64_t request_id,
-                                 double timeout_s, const LinkShape& shape) {
-  Waiter waiter;
-  const auto key = std::make_pair(request_id, reply_type);
+void MuxChannel::start(std::uint16_t request_type, const serial::Bytes& payload,
+                       std::uint16_t reply_type, std::uint64_t request_id,
+                       MuxCompletion* done, const LinkShape& shape) {
   {
-    std::lock_guard lock(mu_);
-    if (dead_) return death_;
-    waiters_[key] = &waiter;
+    std::unique_lock lock(mu_);
+    if (dead_) {
+      lock.unlock();
+      if (done != nullptr) done->complete(death_);  // death_ is final once dead_ is set
+      return;
+    }
+    if (done != nullptr) pending_[std::make_pair(request_id, reply_type)] = done;
   }
 
   Status sent = ok_status();
@@ -294,35 +284,57 @@ Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes
     std::lock_guard lock(send_mu_);
     sent = send_message(conn_, request_type, payload, shape);
   }
-  if (!sent.ok()) {
-    {
-      std::lock_guard lock(mu_);
-      waiters_.erase(key);
-    }
-    // A send-side failure (injected reset, peer gone) leaves the stream in
-    // an unknown state: poison so every sharer redials.
-    poison(sent.error());
-    return sent.error();
-  }
+  // A send-side failure (injected reset, peer gone) leaves the stream in an
+  // unknown state: poison so every sharer redials. That also fails `done`.
+  if (!sent.ok()) poison(sent.error());
+}
 
-  std::unique_lock lock(mu_);
-  const bool got = cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                                [&] { return waiter.done || dead_; });
-  if (waiter.done) return std::move(waiter.reply);
-  waiters_.erase(key);
-  if (dead_) return death_;
-  // Timed out: the reply may still arrive; the reader will read and discard
-  // it whole, so the stream stays framed and the channel stays usable.
-  (void)got;
-  return make_error(ErrorCode::kTimeout, "mux call timed out");
+bool MuxChannel::withdraw(std::uint64_t request_id, std::uint16_t reply_type,
+                          MuxCompletion* done) {
+  std::lock_guard lock(mu_);
+  auto it = pending_.find(std::make_pair(request_id, reply_type));
+  if (it == pending_.end() || it->second != done) return false;
+  pending_.erase(it);
+  return true;
+}
+
+Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes& payload,
+                                 std::uint16_t reply_type, std::uint64_t request_id,
+                                 double timeout_s, const LinkShape& shape) {
+  // The caller's own condition variable: a reply wakes exactly this caller.
+  struct Waiter final : MuxCompletion {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::optional<Result<Message>> reply;
+
+    void complete(Result<Message> r) override {
+      // Notify under the lock: the caller may return (destroying this
+      // object) the moment it observes the reply.
+      std::lock_guard lock(mu);
+      reply.emplace(std::move(r));
+      cv.notify_one();
+    }
+  } waiter;
+  start(request_type, payload, reply_type, request_id, &waiter, shape);
+  std::unique_lock lock(waiter.mu);
+  const auto has_reply = [&] { return waiter.reply.has_value(); };
+  if (!waiter.cv.wait_for(lock, std::chrono::duration<double>(timeout_s), has_reply)) {
+    lock.unlock();
+    // Timed out: the reply may still arrive; the reader will read and
+    // discard it whole, so the stream stays framed and the channel usable.
+    if (withdraw(request_id, reply_type, &waiter)) {
+      return make_error(ErrorCode::kTimeout, "mux call timed out");
+    }
+    lock.lock();  // the completion is running right now: take its result
+    waiter.cv.wait(lock, has_reply);
+  }
+  return std::move(*waiter.reply);
 }
 
 void MuxChannel::reader_loop() {
+  // poison() and the destructor shut the socket down, so a dead channel's
+  // next read fails and ends this loop.
   for (;;) {
-    {
-      std::lock_guard lock(mu_);
-      if (dead_) return;
-    }
     auto readable = conn_.wait_readable(0.25);
     if (!readable.ok()) {
       if (readable.error().code == ErrorCode::kTimeout) continue;
@@ -344,7 +356,7 @@ void MuxChannel::reader_loop() {
       poison(header.error());
       return;
     }
-    if (header.value().length > ConnectionPool::instance().config().max_frame_bytes) {
+    if (header.value().length > kClientMaxFrameBytes) {
       // Client-role frame cap: a shared mux socket buffers replies for many
       // concurrent callers, so one hostile length claim would charge them
       // all. Reject before allocating and poison — the oversized body is
@@ -391,17 +403,12 @@ void MuxChannel::reader_loop() {
       poison(make_error(ErrorCode::kServerOverloaded, "transport busy (accept shed)"));
       return;
     }
-    const std::uint64_t id = peek_request_id(msg.payload);
-    std::lock_guard lock(mu_);
-    auto it = waiters_.find(std::make_pair(id, msg.type));
-    if (it != waiters_.end()) {
-      it->second->reply = std::move(msg);
-      it->second->done = true;
-      waiters_.erase(it);
-      cv_.notify_all();
-    }
-    // No waiter (deadline already expired): the frame was consumed whole and
-    // dropped — nothing leaks into the next caller's reply.
+    std::unique_lock lock(mu_);
+    auto node = pending_.extract(std::make_pair(peek_request_id(msg.payload), msg.type));
+    lock.unlock();
+    // No completion (its caller gave up, or none was registered): the frame
+    // was consumed whole and dropped — nothing leaks into a later reply.
+    if (!node.empty()) node.mapped()->complete(std::move(msg));
   }
 }
 
@@ -413,8 +420,7 @@ Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
   auto lease = ConnectionPool::instance().lease(remote, dial_timeout_s);
   if (!lease.ok()) return lease.error();
   NS_RETURN_IF_ERROR(send_message(lease.value().conn(), type, payload, shape));
-  auto reply = recv_message(lease.value().conn(), timeout_s,
-                            ConnectionPool::instance().config().max_frame_bytes);
+  auto reply = recv_message(lease.value().conn(), timeout_s, kClientMaxFrameBytes);
   if (!reply.ok()) return reply.error();  // lease destructor discards
   if (reply.value().type == kTransportBusyType) {
     // The peer's accept governor shed this dial. Honor the retry-after as a

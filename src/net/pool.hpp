@@ -16,7 +16,7 @@
 //                              the stale bytes to the next leaseholder.
 //
 //   ConnectionPool::channel()  shared MuxChannel for request-id-tagged calls
-//                              (SOLVE, CANCEL, PROBE, TRANSFER). Many calls
+//                              (SOLVE attempts, hedge cancels). Many calls
 //                              pipeline over one socket: frames interleave
 //                              in flight and a reader thread demultiplexes
 //                              replies by the request id in the first eight
@@ -35,7 +35,6 @@
 // fault plans and link shaping behave exactly as they did on fresh dials.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -51,22 +50,6 @@
 #include "net/transport.hpp"
 
 namespace ns::net {
-
-struct PoolConfig {
-  /// Master switch: off = every lease is a fresh dial and nothing is kept
-  /// (the pre-pool behaviour, used for A/B benching).
-  bool enabled = true;
-  /// Idle connections older than this are dropped at lease/release time.
-  /// Keep it comfortably below the server/agent reactor idle timeout (10 s)
-  /// so the client discards before the peer does.
-  double idle_timeout_s = 2.5;
-  /// Idle connections kept per endpoint beyond which release() discards.
-  std::size_t max_idle_per_endpoint = 8;
-  /// Client-role frame cap applied to every pooled reply (lease round trips
-  /// and mux reader alike) before the payload is buffered. Oversized claims
-  /// count in net.guard.oversized_total and poison/discard the connection.
-  std::size_t max_frame_bytes = kClientMaxFrameBytes;
-};
 
 class ConnectionPool;
 
@@ -100,16 +83,45 @@ class PooledConn {
   bool reused_ = false;
 };
 
+/// Receiver of one asynchronous mux reply. The caller owns it and keeps it
+/// alive until complete() has returned or MuxChannel::withdraw() returned
+/// true.
+class MuxCompletion {
+ public:
+  /// Runs exactly once per registration, never under the channel lock: on
+  /// the reader thread with the matching reply, or with the channel's death
+  /// error when the channel is (or already was) poisoned.
+  virtual void complete(Result<Message> reply) = 0;
+
+ protected:
+  MuxCompletion() = default;
+  MuxCompletion(const MuxCompletion&) = delete;  // the channel holds its address
+  MuxCompletion& operator=(const MuxCompletion&) = delete;
+  ~MuxCompletion() = default;
+};
+
 /// One pipelined connection to one endpoint, shared by concurrent callers.
 class MuxChannel {
  public:
   ~MuxChannel();
 
-  /// Send a request frame and wait for the reply whose (type, request_id)
-  /// matches. Concurrent calls interleave on the socket. On timeout the
-  /// waiter just deregisters — the late reply is read and discarded whole by
-  /// the reader, so the stream stays framed. Transport errors poison the
-  /// channel (all waiters fail, callers redial through the pool).
+  /// Register `done` for the reply whose (type, request_id) matches, then
+  /// send the request frame. Concurrent calls interleave on the socket. A
+  /// null `done` registers nothing: the request is sent and any reply is
+  /// read and dropped whole. Transport errors poison the channel (every
+  /// registered completion fails, callers redial through the pool).
+  void start(std::uint16_t request_type, const serial::Bytes& payload,
+             std::uint16_t reply_type, std::uint64_t request_id, MuxCompletion* done,
+             const LinkShape& shape = LinkShape::unshaped());
+
+  /// Deregister a completion whose caller gave up. True: it will never run.
+  /// False: it already ran or is running now on another thread — the caller
+  /// must wait for it before releasing `done`. A late reply is read and
+  /// discarded whole by the reader, so the stream stays framed.
+  bool withdraw(std::uint64_t request_id, std::uint16_t reply_type, MuxCompletion* done);
+
+  /// Synchronous start(): wait up to `timeout_s` for the reply, then
+  /// withdraw and fail with kTimeout.
   Result<Message> call(std::uint16_t request_type, const serial::Bytes& payload,
                        std::uint16_t reply_type, std::uint64_t request_id,
                        double timeout_s, const LinkShape& shape = LinkShape::unshaped());
@@ -128,14 +140,8 @@ class MuxChannel {
   Endpoint remote_;
   std::mutex send_mu_;
 
-  struct Waiter {
-    bool done = false;
-    Message reply;
-  };
-
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::pair<std::uint64_t, std::uint16_t>, Waiter*> waiters_;
+  std::map<std::pair<std::uint64_t, std::uint16_t>, MuxCompletion*> pending_;
   bool dead_ = false;
   Error death_;
   std::thread reader_;
@@ -148,9 +154,6 @@ class ConnectionPool {
   /// Process-wide pool (clients, servers and agents in one test process all
   /// share it; endpoints keep their traffic apart).
   static ConnectionPool& instance();
-
-  void configure(const PoolConfig& config);
-  PoolConfig config() const;
 
   /// Exclusive connection to `remote`: pooled if warm, dialed on miss.
   Result<PooledConn> lease(const Endpoint& remote, double dial_timeout_s);
@@ -182,7 +185,6 @@ class ConnectionPool {
   Status check_busy_window(const std::string& key);
 
   mutable std::mutex mu_;
-  PoolConfig config_;
   std::map<std::string, std::deque<IdleConn>> idle_;
   std::map<std::string, MuxChannelPtr> channels_;
   /// Endpoint -> monotonic instant until which dials fail fast (transport

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <vector>
 
 #include "client/client.hpp"
@@ -30,6 +31,30 @@ bool eventually(Pred pred, double timeout_s = 5.0) {
     sleep_seconds(0.005);
   }
   return pred();
+}
+
+// Threads of this process right now.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// The thread count once it has held still for 300 ms (or after 5 s).
+std::size_t settled_thread_count() {
+  std::size_t last = thread_count();
+  int still = 0;
+  const Deadline deadline(5.0);
+  while (still < 6 && !deadline.expired()) {
+    sleep_seconds(0.05);
+    const std::size_t now = thread_count();
+    still = now == last ? still + 1 : 0;
+    last = now;
+  }
+  return last;
 }
 
 serial::Bytes encode_solve(std::uint64_t request_id, std::int64_t mflop) {
@@ -113,6 +138,21 @@ TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
   const auto* cancelled = snap.value().find("server.cancelled_running_total");
   ASSERT_NE(cancelled, nullptr);
   EXPECT_GE(cancelled->count, 1u);
+
+  // Both attempts and the loser's CANCEL ride the mux channels' reader
+  // threads: a hedged call starts no thread of its own. The call above
+  // warmed every channel and server worker; once the thread count settles,
+  // a second hedged call must return with it unchanged. Loading both
+  // servers makes the second call hedge whichever one the agent ranks first
+  // (simwork(5) now takes ~0.5 s on server0 and ~1 s on server1).
+  cluster.value()->server(1).set_background_load(50.0);
+  const std::size_t threads_before = settled_thread_count();
+  client::CallStats again;
+  auto out_again = client.netsl("simwork", {DataObject(std::int64_t{5})}, &again);
+  const std::size_t threads_after = thread_count();
+  ASSERT_TRUE(out_again.ok()) << out_again.error().to_string();
+  EXPECT_TRUE(again.hedged);
+  EXPECT_EQ(threads_after, threads_before) << "a hedged call left threads running";
 }
 
 // Cross-server cancellation at both lifecycle stages, over raw connections

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -446,7 +447,7 @@ TEST(PoolTest, PeerClosedIdleConnectionIsNotHandedOut) {
 
   sleep_seconds(1.6);  // past the server's sweep; the cached conn is now dead
 
-  // PoolConfig.idle_timeout_s (2.5 s) has not elapsed, so only the MSG_PEEK
+  // The pool's 2.5 s idle timeout has not elapsed, so only the MSG_PEEK
   // check can save this lease from a dead socket.
   auto reply = pool_round_trip(server.endpoint(), kEchoReq, make_payload(2), 5.0, 2.0);
   ASSERT_TRUE(reply.ok());
@@ -559,6 +560,88 @@ TEST(MuxTest, MidStreamResetEvictsChannelAndRedials) {
   auto after = second.value()->call(kEchoReq, make_payload(3), kEchoRep, 3, 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 3u);
+
+  // Two calls pending when the channel is poisoned: each completion fires
+  // exactly once, with a retryable error, at the poisoning — not when its
+  // (1 s away) reply would have come.
+  struct CountingCompletion final : MuxCompletion {
+    std::atomic<int> fired{0};
+    std::atomic<bool> retryable{false};
+    void complete(Result<Message> reply) override {
+      retryable = !reply.ok() && is_retryable(reply.error().code);
+      fired.fetch_add(1);
+    }
+  };
+  CountingCompletion pending_a;
+  CountingCompletion pending_b;
+  second.value()->start(kEchoReq, make_payload(4, /*sleep_s=*/1.0), kEchoRep, 4, &pending_a);
+  second.value()->start(kEchoReq, make_payload(5, /*sleep_s=*/1.0), kEchoRep, 5, &pending_b);
+  FaultInjector::instance().arm(server.endpoint(), plan);
+  const Stopwatch poison_watch;
+  auto poisoning = second.value()->call(kEchoReq, make_payload(6), kEchoRep, 6, 5.0);
+  EXPECT_FALSE(poisoning.ok());
+  const Deadline fire_deadline(0.5);
+  while ((pending_a.fired.load() == 0 || pending_b.fired.load() == 0) &&
+         !fire_deadline.expired()) {
+    sleep_seconds(0.005);
+  }
+  EXPECT_LT(poison_watch.elapsed(), 0.5) << "pending calls waited past the poisoning";
+  FaultInjector::instance().disarm_all();
+  sleep_seconds(1.2);  // past the replies' due time: nothing may fire again
+  EXPECT_FALSE(second.value()->healthy());
+  EXPECT_EQ(pending_a.fired.load(), 1);
+  EXPECT_EQ(pending_b.fired.load(), 1);
+  EXPECT_TRUE(pending_a.retryable.load());
+  EXPECT_TRUE(pending_b.retryable.load());
+  // Fired completions are no longer registered.
+  EXPECT_FALSE(second.value()->withdraw(4, kEchoRep, &pending_a));
+  EXPECT_FALSE(second.value()->withdraw(5, kEchoRep, &pending_b));
+}
+
+// The mux reader enforces the client frame cap at header-decode time: a
+// reply header claiming more than kClientMaxFrameBytes fails the pending
+// call with kProtocol and poisons the channel before any payload is read.
+// The fake peer sends that header alone and then holds the socket open, so
+// a reader that went on to read the claimed payload would stall into the
+// 1 s mid-frame bound and fail with a timeout instead.
+TEST(MuxTest, OversizedReplyHeaderPoisonsBeforePayloadRead) {
+  auto listener = TcpListener::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  const Endpoint endpoint = listener.value().endpoint();
+  std::thread peer([&] {
+    auto conn = listener.value().accept(5.0);
+    if (!conn.ok()) return;
+    if (!recv_message(conn.value(), 5.0).ok()) return;
+    serial::FrameHeader header;
+    header.type = kEchoRep;
+    header.length = static_cast<std::uint32_t>(kClientMaxFrameBytes + 1);
+    std::uint8_t bytes[serial::kHeaderSize];
+    serial::encode_header(header, bytes);
+    if (!conn.value().send_all(bytes, sizeof(bytes)).ok()) return;
+    std::uint8_t byte = 0;
+    (void)conn.value().recv_all(&byte, 1, 5.0);  // hold open until the client closes
+  });
+
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  const std::uint64_t oversized_before = metrics::counter("net.guard.oversized_total").value();
+  auto channel = pool.channel(endpoint, 2.0);
+  std::optional<Result<Message>> reply;
+  double elapsed = 0.0;
+  if (channel.ok()) {
+    const Stopwatch watch;
+    reply.emplace(channel.value()->call(kEchoReq, make_payload(1), kEchoRep, 1, 5.0));
+    elapsed = watch.elapsed();
+  }
+  peer.join();
+
+  ASSERT_TRUE(channel.ok()) << channel.error().to_string();
+  ASSERT_FALSE(reply->ok());
+  EXPECT_EQ(reply->error().code, ErrorCode::kProtocol) << reply->error().to_string();
+  EXPECT_LT(elapsed, 0.5) << "reader waited on the claimed payload";
+  EXPECT_FALSE(channel.value()->healthy());
+  EXPECT_GT(metrics::counter("net.guard.oversized_total").value(), oversized_before);
+  pool.clear();
 }
 
 }  // namespace
