@@ -113,8 +113,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 double residual_inf(const Matrix& a, const Vector& x, const Vector& b) {
   Vector r(b);
-  gemv(1.0, a, x, -1.0, r);  // r = A x - b (gemv computes Ax + (-1)*r... see below)
-  // gemv computed r = 1*A*x + (-1)*b_copy, i.e. Ax - b. Max norm:
+  gemv(1.0, a, x, -1.0, r);  // r = 1*A*x + (-1)*b = Ax - b
   double m = 0.0;
   for (const double v : r) m = std::max(m, std::abs(v));
   return m;

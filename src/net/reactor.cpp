@@ -44,8 +44,7 @@ Endpoint endpoint_from(const sockaddr_in& addr) {
 
 // ---- ReactorConn ----
 
-Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload,
-                         const LinkShape& shape) {
+Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkShape& shape) {
   if (closing_.load(std::memory_order_acquire)) {
     return make_error(ErrorCode::kConnectionClosed, "reactor connection closed");
   }
@@ -114,7 +113,7 @@ Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload,
     chunks.push_back(std::move(head));
     if (!payload.empty()) {
       Chunk body;
-      body.data = payload;
+      body.data = std::move(payload);
       chunks.push_back(std::move(body));
     }
   }

@@ -109,7 +109,9 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// Queue one framed message. Thread-safe; applies armed fault plans and
   /// link shaping. Fails with kConnectionClosed once the connection is
   /// closing (handlers treat that like the old synchronous send failing).
-  Status send(std::uint16_t type, const serial::Bytes& payload,
+  /// Takes the payload by value: it becomes the queued body chunk as is, so
+  /// a caller that passes a temporary never has its payload copied.
+  Status send(std::uint16_t type, serial::Bytes payload,
               const LinkShape& shape = LinkShape::unshaped());
 
   /// Close after flushing queued writes; pending reads are dropped.

@@ -7,8 +7,10 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/clock.hpp"
@@ -96,15 +98,34 @@ void TcpConnection::shutdown_both() noexcept {
 }
 
 Status TcpConnection::send_all(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd_.get(), bytes + sent, size - sent, MSG_NOSIGNAL);
+  return send_all(data, size, nullptr, 0);
+}
+
+Status TcpConnection::send_all(const void* head, std::size_t head_size, const void* body,
+                               std::size_t body_size) {
+  iovec iov[2]{};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  if (head_size > 0) iov[msg.msg_iovlen++] = {const_cast<void*>(head), head_size};
+  if (body_size > 0) iov[msg.msg_iovlen++] = {const_cast<void*>(body), body_size};
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return make_error(ErrorCode::kConnectionClosed, "send(): " + errno_string());
+      return make_error(ErrorCode::kConnectionClosed, "sendmsg(): " + errno_string());
     }
-    sent += static_cast<std::size_t>(n);
+    // Advance past what the kernel took; a partial write can end mid-iovec.
+    auto left = static_cast<std::size_t>(n);
+    while (left > 0) {
+      const std::size_t step = std::min(left, msg.msg_iov[0].iov_len);
+      msg.msg_iov[0].iov_base = static_cast<std::uint8_t*>(msg.msg_iov[0].iov_base) + step;
+      msg.msg_iov[0].iov_len -= step;
+      left -= step;
+      if (msg.msg_iov[0].iov_len == 0) {
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+    }
   }
   return ok_status();
 }

@@ -65,6 +65,11 @@ class TcpConnection {
   /// Write the entire buffer; fails on peer reset.
   Status send_all(const void* data, std::size_t size);
 
+  /// Write `head` then `body` as one stream with gathered sendmsg calls, so
+  /// a frame header and its payload never need a contiguous copy.
+  Status send_all(const void* head, std::size_t head_size, const void* body,
+                  std::size_t body_size);
+
   /// Read exactly `size` bytes, waiting up to `timeout_secs` for each chunk.
   /// kConnectionClosed on orderly shutdown, kTimeout on inactivity.
   Status recv_all(void* data, std::size_t size, double timeout_secs);

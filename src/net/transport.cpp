@@ -27,46 +27,56 @@ Result<std::optional<FaultMode>> roll_send_fault(TcpConnection& conn, std::uint1
   return std::optional<FaultMode>{};
 }
 
+/// send_message with a fault plan armed: the plan flips bytes in place, so
+/// the frame is assembled into one buffer before the roll.
+Status send_faultable(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
+                      const LinkShape& shape) {
+  serial::Bytes frame = serial::build_frame(type, payload);
+  auto fault = roll_send_fault(conn, type, frame);
+  if (!fault.ok()) return fault.error();
+  if (fault.value()) {
+    switch (*fault.value()) {
+      case FaultMode::kReset:
+      case FaultMode::kPartition: {
+        // Half a frame then a hard shutdown: the peer reads a truncated
+        // stream and sees kConnectionClosed, exactly like a mid-flight RST.
+        // shutdown, not close: on a pooled mux channel a reader thread is
+        // concurrently polling this fd, and close() would free the
+        // descriptor under it (the owner closes it when the channel dies).
+        (void)conn.send_all(frame.data(), frame.size() / 2);
+        conn.shutdown_both();
+        return make_error(ErrorCode::kConnectionClosed,
+                          std::string("injected ") + std::string(fault_mode_name(*fault.value())) +
+                              " on send");
+      }
+      case FaultMode::kStall: {
+        // Partial frame then silence. The sender "succeeds" (the bytes left
+        // the building); the reader's recv timeout is what surfaces it.
+        const std::size_t partial = frame.size() > 1 ? frame.size() / 2 : 1;
+        (void)conn.send_all(frame.data(), partial);
+        return ok_status();
+      }
+      case FaultMode::kCorrupt:
+        // Bytes already flipped in place by on_send; deliver the damaged
+        // frame normally and let the CRC catch it on the far side.
+        break;
+      case FaultMode::kConnectRefused:
+        break;  // connect-only, never returned for sends
+    }
+  }
+  return shaped_send(conn, frame.data(), frame.size(), shape);
+}
+
 }  // namespace
 
 Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
                     const LinkShape& shape) {
-  serial::Bytes frame = serial::build_frame(type, payload);
-  if (FaultInjector::instance().armed()) {
-    auto fault = roll_send_fault(conn, type, frame);
-    if (!fault.ok()) return fault.error();
-    if (fault.value()) {
-      switch (*fault.value()) {
-        case FaultMode::kReset:
-        case FaultMode::kPartition: {
-          // Half a frame then a hard shutdown: the peer reads a truncated
-          // stream and sees kConnectionClosed, exactly like a mid-flight RST.
-          // shutdown, not close: on a pooled mux channel a reader thread is
-          // concurrently polling this fd, and close() would free the
-          // descriptor under it (the owner closes it when the channel dies).
-          (void)conn.send_all(frame.data(), frame.size() / 2);
-          conn.shutdown_both();
-          return make_error(ErrorCode::kConnectionClosed,
-                            std::string("injected ") + std::string(fault_mode_name(*fault.value())) +
-                                " on send");
-        }
-        case FaultMode::kStall: {
-          // Partial frame then silence. The sender "succeeds" (the bytes left
-          // the building); the reader's recv timeout is what surfaces it.
-          const std::size_t partial = frame.size() > 1 ? frame.size() / 2 : 1;
-          (void)conn.send_all(frame.data(), partial);
-          return ok_status();
-        }
-        case FaultMode::kCorrupt:
-          // Bytes already flipped in place by on_send; deliver the damaged
-          // frame normally and let the CRC catch it on the far side.
-          break;
-        case FaultMode::kConnectRefused:
-          break;  // connect-only, never returned for sends
-      }
-    }
-  }
-  return shaped_send(conn, frame.data(), frame.size(), shape);
+  if (FaultInjector::instance().armed()) return send_faultable(conn, type, payload, shape);
+  // Header and payload leave in one gathered write; the payload is never
+  // copied into a frame buffer.
+  std::uint8_t header[serial::kHeaderSize];
+  serial::encode_frame_header(type, payload, header);
+  return shaped_send(conn, header, sizeof(header), payload.data(), payload.size(), shape);
 }
 
 serial::Bytes encode_busy_payload(double retry_after_s) {

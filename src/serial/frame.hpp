@@ -47,13 +47,14 @@ void encode_header(const FrameHeader& header, std::uint8_t out[kHeaderSize]);
 Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
                                   std::size_t max_payload = kMaxPayload);
 
-/// Build a complete frame (header + payload) for a message type.
+/// Build a complete frame (header + payload) for a message type. Only paths
+/// that must edit the frame bytes (fault injection) need this copy.
 Bytes build_frame(std::uint16_t type, const Bytes& payload);
 
 /// Write just the kHeaderSize header (with the CRC computed over type +
 /// length + payload) for a frame whose payload will travel as a separate
-/// buffer — the reactor's scatter-gather write path sends header and payload
-/// as two iovecs instead of assembling a contiguous frame copy.
+/// buffer — both send paths (net::send_message and the reactor) send header
+/// and payload as two iovecs instead of assembling a contiguous frame copy.
 void encode_frame_header(std::uint16_t type, const Bytes& payload,
                          std::uint8_t out[kHeaderSize]);
 

@@ -1308,16 +1308,38 @@ void ComputeServer::finish_job(const std::shared_ptr<ActiveJob>& job,
   maybe_compact();
 }
 
+namespace {
+
+std::size_t stored_bytes(const proto::SolveResult& result) {
+  return dsl::args_byte_size(result.outputs) + result.error_message.size();
+}
+
+}  // namespace
+
 void ComputeServer::store_result(std::uint64_t request_id,
                                  const proto::SolveResult& result) {
   std::lock_guard<std::mutex> lock(results_mu_);
-  if (results_.insert_or_assign(request_id, result).second) {
-    results_order_.push_back(request_id);
-    while (results_order_.size() > kMaxStoredResults) {
-      results_.erase(results_order_.front());
-      results_order_.pop_front();
-    }
+  auto [it, inserted] = results_.try_emplace(request_id);
+  if (!inserted) {
+    // A re-stored id becomes the newest so the eviction below keeps it.
+    results_bytes_ -= stored_bytes(it->second);
+    results_order_.erase(std::find(results_order_.begin(), results_order_.end(), request_id));
   }
+  results_order_.push_back(request_id);
+  it->second = result;
+  results_bytes_ += stored_bytes(result);
+  while (results_order_.size() > 1 && (results_order_.size() > kMaxStoredResults ||
+                                       results_bytes_ > kMaxStoredResultBytes)) {
+    const auto oldest = results_.find(results_order_.front());
+    results_bytes_ -= stored_bytes(oldest->second);
+    results_.erase(oldest);
+    results_order_.pop_front();
+  }
+}
+
+std::size_t ComputeServer::stored_result_bytes() const {
+  std::lock_guard<std::mutex> lock(results_mu_);
+  return results_bytes_;
 }
 
 void ComputeServer::maybe_compact() {

@@ -323,6 +323,12 @@ class ComputeServer {
   std::size_t replica_holds() const;
   /// Bytes the replica store currently accounts for.
   std::size_t replica_bytes() const;
+  /// Ceiling on the bytes of terminal results kept for PROBE re-attach.
+  /// Oldest results go first; the newest one stays even when it alone is
+  /// larger, so the caller that just finished can always re-attach.
+  static constexpr std::size_t kMaxStoredResultBytes = 32u << 20;  // 32 MiB
+  /// Output bytes currently held for PROBE re-attach.
+  std::size_t stored_result_bytes() const;
 
   // ---- memory governance ----
   /// The byte account charged by admission, dispatch, and the replica
@@ -701,11 +707,13 @@ class ComputeServer {
   Journal journal_;
   /// Jobs rebuilt from the journal, waiting for launch_recovered_jobs().
   std::vector<std::shared_ptr<ActiveJob>> recovered_jobs_;
-  /// Terminal results kept for re-attaching probes, bounded FIFO.
+  /// Terminal results kept for re-attaching probes, bounded FIFO by count
+  /// and by kMaxStoredResultBytes.
   static constexpr std::size_t kMaxStoredResults = 512;
   mutable std::mutex results_mu_;
   std::map<std::uint64_t, proto::SolveResult> results_;
   std::deque<std::uint64_t> results_order_;
+  std::size_t results_bytes_ = 0;  // Σ stored_bytes(results_)
   /// Set by crash(): suppress replies and terminal accounting so the
   /// emulated kill looks like a power cut, not a graceful unwind.
   std::atomic<bool> crash_mode_{false};

@@ -333,6 +333,59 @@ TEST(DurableTest, ProbeAndWaitObserveALongSolve) {
   EXPECT_TRUE(done.value().has_result);
 }
 
+// The results kept for PROBE re-attach are bounded in bytes, not only in
+// count: after more than the ceiling's worth of 2 MiB results the store
+// stays under it, the oldest are gone, and the newest still re-attaches.
+TEST(DurableTest, ResultStoreStaysUnderByteCeiling) {
+  testkit::ClusterConfig config;
+  testkit::ClusterServerSpec spec;
+  spec.name = "server0";
+  config.servers = {spec};
+  config.io_timeout_s = 30.0;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
+  constexpr std::size_t kCeiling = server::ComputeServer::kMaxStoredResultBytes;
+
+  constexpr std::size_t kLength = std::size_t{1} << 18;  // 2 MiB per result
+  const linalg::Vector x(kLength, 1.0);
+  const std::size_t result_bytes = DataObject(x).byte_size();
+  const std::uint64_t calls = kCeiling / result_bytes + 4;
+  auto conn = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  const std::uint64_t first_id = 7001;
+  const std::uint64_t last_id = first_id + calls - 1;
+  for (std::uint64_t id = first_id; id <= last_id; ++id) {
+    proto::SolveRequest request;
+    request.request_id = id;
+    request.problem = "daxpy";
+    request.args = {DataObject(static_cast<double>(id)), DataObject(x), DataObject(x)};
+    serial::Encoder enc;
+    request.encode(enc);
+    ASSERT_TRUE(net::send_message(conn.value(),
+                                  static_cast<std::uint16_t>(proto::MessageType::kSolveRequest),
+                                  enc.take())
+                    .ok());
+    auto reply = net::recv_message(conn.value(), 30.0);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    ASSERT_LE(cluster.value()->server(0).stored_result_bytes(), kCeiling);
+  }
+  EXPECT_GT(cluster.value()->server(0).stored_result_bytes(), kCeiling / 2);
+
+  auto oldest = client::probe_request(endpoint, first_id);
+  ASSERT_TRUE(oldest.ok()) << oldest.error().to_string();
+  EXPECT_EQ(oldest.value().state, proto::JobState::kUnknown) << "oldest result not evicted";
+
+  auto newest = client::probe_request(endpoint, last_id, /*fetch_result=*/true);
+  ASSERT_TRUE(newest.ok()) << newest.error().to_string();
+  EXPECT_EQ(newest.value().state, proto::JobState::kCompleted);
+  ASSERT_TRUE(newest.value().has_result);
+  ASSERT_EQ(newest.value().result.outputs.size(), 1u);
+  const auto& y = newest.value().result.outputs[0].as_vector();
+  ASSERT_EQ(y.size(), kLength);
+  EXPECT_EQ(y[0], static_cast<double>(last_id) + 1.0);
+}
+
 // ---- satellite: journal replay fuzz ----
 
 namespace fuzz {

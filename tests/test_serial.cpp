@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "serial/codec.hpp"
 #include "serial/crc32.hpp"
 #include "serial/frame.hpp"
+#include "server/journal.hpp"
 
 namespace ns::serial {
 namespace {
@@ -255,6 +258,87 @@ TEST(Crc32Test, SensitiveToSingleBitFlip) {
   const auto base = crc32(data.data(), data.size());
   data[17] = 'b';
   EXPECT_NE(crc32(data.data(), data.size()), base);
+}
+
+// Bit-at-a-time reference for the same CRC (reflected 0xedb88320, init and
+// final XOR 0xffffffff). The production code must agree with it everywhere.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? (0xedb88320u ^ (crc >> 1)) : (crc >> 1);
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::vector<std::uint8_t> crc_test_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+// Every length across several 16-byte blocks plus tail, from every start
+// alignment: the block loop, the tail loop and the unaligned loads all run.
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
+  const auto bytes = crc_test_bytes(300 + 16, 0xc4c32);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32(bytes.data() + offset, len), reference_crc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, IncrementalMatchesOneShotAtEverySplit) {
+  const auto bytes = crc_test_bytes(1024, 0x5b117);
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  ASSERT_EQ(whole, reference_crc32(bytes.data(), bytes.size()));
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    std::uint32_t crc = crc32_update(kCrc32Init, bytes.data(), split);
+    crc = crc32_update(crc, bytes.data() + split, bytes.size() - split);
+    ASSERT_EQ(crc32_final(crc), whole) << "split at " << split;
+  }
+}
+
+// Format locks: a frame header and a journal record written with these
+// checksums must keep validating, or every existing journal, spill file and
+// peer on the old format is orphaned. The constants come from the original
+// byte-at-a-time table; change them only with a deliberate format change.
+TEST(Crc32Test, PinnedFrameHeaderBytes) {
+  const std::string text = "NetSolve frame";
+  const Bytes payload(text.begin(), text.end());
+  std::uint8_t header[kHeaderSize];
+  encode_frame_header(42, payload, header);
+  const std::uint8_t expected[kHeaderSize] = {
+      0x4e, 0x53, 0x56, 0x31,   // magic "NSV1"
+      0x01, 0x00,               // version 1
+      0x2a, 0x00,               // type 42
+      0x0e, 0x00, 0x00, 0x00,   // length 14
+      0x5d, 0xab, 0x83, 0x59};  // CRC 0x5983ab5d
+  for (std::size_t i = 0; i < kHeaderSize; ++i) {
+    EXPECT_EQ(header[i], expected[i]) << "header byte " << i;
+  }
+  auto decoded = decode_header(header);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(check_payload(decoded.value(), payload).ok());
+}
+
+TEST(Crc32Test, PinnedJournalRecordCrc) {
+  server::JournalRecord rec;
+  rec.type = server::JournalRecordType::kCompleted;
+  rec.request_id = 0x1122334455667788ull;
+  rec.wall_micros = 1700000000000000ll;
+  rec.deadline_remaining_s = 1.5;
+  rec.iteration = 7;
+  rec.residual = 0.25;
+  rec.data = {1, 2, 3, 4, 5};
+  Bytes framed;
+  rec.frame(framed);
+  ASSERT_EQ(framed.size(), 8u + 50u);
+  Decoder dec(framed);
+  EXPECT_EQ(dec.get_u32().value(), 50u);           // payload length
+  EXPECT_EQ(dec.get_u32().value(), 0x8dae9c78u);   // crc32(payload)
 }
 
 // ---- frames ----

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -300,6 +301,138 @@ TEST(ReactorTest, TruncatedHeaderThenCloseIsHarmless) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(payload_id(reply.value().payload), 32u);
   EXPECT_TRUE(eventually_conn_count(server.reactor(), 1));
+}
+
+// ---- scatter-gather sends ----
+
+// Both send paths write the frame header and the payload as separate
+// buffers. These sizes cover an empty body, bodies shorter than the header
+// and shorter than the echo protocol's id, one byte past a pacing chunk, and
+// a body far larger than the socket buffers (many partial writes).
+const std::size_t kScatterSizes[] = {0, 1, 15, (64u << 10) + 1, 5u << 20};
+
+/// Echo payload of exactly `size` bytes; sizes under 16 carry no sleep.
+serial::Bytes sized_payload(std::uint64_t id, std::size_t size) {
+  if (size >= 16) return make_payload(id, 0.0, size - 16);
+  serial::Bytes payload(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = i < 8 ? static_cast<std::uint8_t>(id >> (8 * i))
+                       : static_cast<std::uint8_t>(0xa5 ^ i);
+  }
+  return payload;
+}
+
+// send_message -> reactor, and ReactorConn::send -> recv_message.
+TEST(ScatterSendTest, SendMessageToReactorRoundTripsEverySize) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  std::uint64_t id = 100;
+  for (const std::size_t size : kScatterSizes) {
+    const auto payload = sized_payload(++id, size);
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, payload).ok()) << size;
+    auto reply = recv_message(conn.value(), 10.0);
+    ASSERT_TRUE(reply.ok()) << size << ": " << reply.error().to_string();
+    EXPECT_EQ(reply.value().type, kEchoRep);
+    EXPECT_TRUE(reply.value().payload == payload) << "payload of " << size << " B changed";
+  }
+  EXPECT_EQ(server.frames(), std::size(kScatterSizes));
+}
+
+// ReactorConn::send -> MuxChannel reader (which reads bodies in 64 KiB
+// pieces); payloads under 8 bytes demux as request id 0.
+TEST(ScatterSendTest, ReactorSendToMuxChannelRoundTripsEverySize) {
+  EchoServer server;
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  auto channel = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(channel.ok());
+  std::uint64_t id = 200;
+  for (const std::size_t size : kScatterSizes) {
+    const auto payload = sized_payload(++id, size);
+    const std::uint64_t demux_id = size >= 8 ? id : 0;
+    auto reply = channel.value()->call(kEchoReq, payload, kEchoRep, demux_id, 10.0);
+    ASSERT_TRUE(reply.ok()) << size << ": " << reply.error().to_string();
+    EXPECT_TRUE(reply.value().payload == payload) << "payload of " << size << " B changed";
+  }
+  EXPECT_TRUE(channel.value()->healthy());
+}
+
+FaultPlan corrupt_only(std::uint16_t type) {
+  FaultPlan plan;
+  plan.rules.push_back(FaultRule{FaultMode::kCorrupt, 1.0, -1, {type}});
+  return plan;
+}
+
+// An armed kCorrupt plan still damages what send_message writes (the fault
+// path keeps the assembled frame), and the receiver sees the retryable
+// kCorruptFrame; once disarmed the scatter path delivers intact frames.
+TEST(ScatterSendTest, ArmedCorruptOnSendMessageSurfacesCorruptFrame) {
+  auto listener = TcpListener::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  const Endpoint ep = listener.value().endpoint();
+  FaultInjector::instance().arm(ep, corrupt_only(kEchoReq));
+  const auto payload = sized_payload(7, (64u << 10) + 1);
+
+  std::thread sender([ep, &payload] {
+    auto conn = TcpConnection::connect(ep);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, payload).ok());
+    FaultInjector::instance().disarm_all();
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, payload).ok());
+  });
+  auto conn = listener.value().accept(2.0);
+  ASSERT_TRUE(conn.ok());
+  auto damaged = recv_message(conn.value(), 5.0);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.error().code, ErrorCode::kCorruptFrame);
+  EXPECT_TRUE(is_retryable(damaged.error().code));
+  auto intact = recv_message(conn.value(), 5.0);
+  sender.join();
+  ASSERT_TRUE(intact.ok()) << intact.error().to_string();
+  EXPECT_TRUE(intact.value().payload == payload);
+  FaultInjector::instance().disarm_all();
+}
+
+// The same for ReactorConn::send: a corrupted reply fails the caller's
+// read with the retryable kCorruptFrame.
+TEST(ScatterSendTest, ArmedCorruptOnReactorSendSurfacesCorruptFrame) {
+  EchoServer server;
+  FaultInjector::instance().arm(server.endpoint(), corrupt_only(kEchoRep));
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(send_message(conn.value(), kEchoReq, sized_payload(8, (64u << 10) + 1)).ok());
+  auto reply = recv_message(conn.value(), 5.0);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::kCorruptFrame);
+  EXPECT_TRUE(is_retryable(reply.error().code));
+}
+
+// A shaped send of header + payload is one paced transfer: it takes at
+// least the link's predicted time for the whole frame, and arrives intact.
+TEST(ScatterSendTest, ShapedLanSendTakesBandwidthPlusLatency) {
+  auto listener = TcpListener::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  const LinkShape lan = LinkShape::lan();
+  const auto payload = sized_payload(9, 256u << 10);
+  const double predicted = lan.predict_seconds(serial::kHeaderSize + payload.size());
+
+  double send_s = 0.0;
+  std::thread sender([ep = listener.value().endpoint(), &payload, &lan, &send_s] {
+    auto conn = TcpConnection::connect(ep);
+    ASSERT_TRUE(conn.ok());
+    const Stopwatch watch;
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, payload, lan).ok());
+    send_s = watch.elapsed();
+  });
+  auto conn = listener.value().accept(2.0);
+  ASSERT_TRUE(conn.ok());
+  auto got = recv_message(conn.value(), 10.0);
+  sender.join();
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_TRUE(got.value().payload == payload);
+  EXPECT_GE(send_s, predicted) << "shaped send finished faster than the link allows";
+  EXPECT_LE(send_s, predicted * 3.0) << "shaped send paced far too slowly";
 }
 
 // ---- task pool ----
