@@ -36,7 +36,7 @@ void BM_Gemm(benchmark::State& state) {
       2.0 * static_cast<double>(n) * n * n / 1e6 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_Gemv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -67,7 +67,7 @@ void BM_LuSolve(benchmark::State& state) {
       lu_flops(n) / 1e6 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_LuSolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_LuSolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_CholeskySolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -79,7 +79,7 @@ void BM_CholeskySolve(benchmark::State& state) {
     benchmark::DoNotOptimize(x);
   }
 }
-BENCHMARK(BM_CholeskySolve)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_CholeskySolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_QrLeastSquares(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

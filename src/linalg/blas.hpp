@@ -38,8 +38,24 @@ void ger(double alpha, const Vector& x, const Vector& y, Matrix& a);
 
 // ---- Level 3 ----
 
-/// C = alpha * A B + beta * C. Blocked for cache behaviour; the j-k-i loop
-/// order keeps the innermost accesses contiguous in column-major storage.
+/// Read-only strided view of a sub-matrix: element (i, j) is
+/// data[i * row_stride + j * col_stride]. A block of a column-major Matrix
+/// has row_stride 1 and col_stride rows(); swapping the strides transposes it.
+struct BlockView {
+  const double* data;
+  std::size_t row_stride;
+  std::size_t col_stride;
+};
+
+/// C += alpha * A B for an m×k view A and a k×n view B, with C column-major
+/// at leading dimension ldc. This is the one packed, register-blocked kernel
+/// under gemm and the blocked LU and Cholesky factorizations; C must not
+/// overlap A or B.
+void gemm_update(std::size_t m, std::size_t n, std::size_t k, double alpha, BlockView a,
+                 BlockView b, double* c, std::size_t ldc);
+
+/// C = alpha * A B + beta * C, on gemm_update. As in BLAS, beta == 0
+/// overwrites C without reading it (NaNs in C do not survive).
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c);
 
 /// Convenience: C = A B.

@@ -1,25 +1,79 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/cancel.hpp"
 #include "common/checkpoint.hpp"
+#include "linalg/blas.hpp"
 
 namespace ns::linalg {
 
-Result<LuFactorization> LuFactorization::factor(Matrix a) {
-  if (!a.square()) {
-    return make_error(ErrorCode::kBadArguments, "LU requires a square matrix");
-  }
-  const std::size_t n = a.rows();
-  std::vector<int> pivots(n);
-  int sign = 1;
+namespace {
 
-  for (std::size_t k = 0; k < n; ++k) {
+// Columns per panel of the blocked factorization: wide enough that the
+// trailing update is a real GEMM, narrow enough that the panel itself stays
+// a small share of the flops.
+constexpr std::size_t kPanel = 64;
+// Width at and below which the panel and the triangular solve run as plain
+// column loops; wider ones split in half and send the cross term through
+// the kernel, which then does nearly all the flops.
+constexpr std::size_t kLeaf = 16;
+
+bool all_finite(const Vector& v) noexcept {
+  for (const double x : v) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
+// A(r0:r1, c0:c1) = L^-1 A(r0:r1, c0:c1) for the unit lower triangle L of
+// A(r0:r1, r0:r1).
+void solve_unit_lower(Matrix& a, std::size_t r0, std::size_t r1, std::size_t c0,
+                      std::size_t c1) {
+  const std::size_t n = a.rows();
+  if (r1 - r0 <= kLeaf) {
+    for (std::size_t j = c0; j < c1; ++j) {
+      double* col = a.col(j);
+      for (std::size_t k = r0; k < r1; ++k) {
+        const double ukj = col[k];
+        const double* lcol = a.col(k);
+        for (std::size_t i = k + 1; i < r1; ++i) col[i] -= lcol[i] * ukj;
+      }
+    }
+    return;
+  }
+  const std::size_t mid = r0 + (r1 - r0) / 2;
+  solve_unit_lower(a, r0, mid, c0, c1);
+  gemm_update(r1 - mid, c1 - c0, mid - r0, -1.0, {&a(mid, r0), 1, n}, {&a(r0, c0), 1, n},
+              &a(mid, c0), n);
+  solve_unit_lower(a, mid, r1, c0, c1);
+}
+
+// Partial-pivot elimination of columns [j0, j1) over rows [j0, n). Row swaps
+// cover the full row; updates stay inside the columns. Panels wider than
+// kLeaf split in half: factor the left half, solve for its U12, update the
+// right half through the kernel, then factor the right half. A pivot at or
+// below singular_below[k] rejects the matrix.
+Status factor_panel(Matrix& a, std::size_t j0, std::size_t j1, const Vector& singular_below,
+                    std::vector<int>& pivots, int& sign) {
+  const std::size_t n = a.rows();
+  if (j1 - j0 > kLeaf) {
+    const std::size_t mid = j0 + (j1 - j0) / 2;
+    if (auto left = factor_panel(a, j0, mid, singular_below, pivots, sign); !left.ok()) {
+      return left;
+    }
+    solve_unit_lower(a, j0, mid, mid, j1);
+    gemm_update(n - mid, j1 - mid, mid - j0, -1.0, {&a(mid, j0), 1, n}, {&a(j0, mid), 1, n},
+                &a(mid, mid), n);
+    return factor_panel(a, mid, j1, singular_below, pivots, sign);
+  }
+  for (std::size_t k = j0; k < j1; ++k) {
     // Cancellation checkpoint at pivot-column granularity: one thread-local
-    // read per O(n^2) trailing update. Progress-only for the durability
-    // layer — direct factorization has no cheap resumable state, but probes
-    // still see how far the elimination got.
+    // read per O(n^2) of work. Progress-only for the durability layer —
+    // direct factorization has no cheap resumable state, but probes still
+    // see how far the elimination got.
     if (cancel::poll()) return cancel::cancelled_error("LU factorization");
     checkpoint::progress(k);
     // Partial pivot: largest |a_ik| for i >= k.
@@ -33,7 +87,12 @@ Result<LuFactorization> LuFactorization::factor(Matrix a) {
       }
     }
     pivots[k] = static_cast<int>(p);
-    if (p_abs == 0.0) {
+    // A NaN never wins the comparison above, but once it reaches L it turns
+    // its whole row to NaN, and that row ends up as some later pivot.
+    if (!std::isfinite(p_abs)) {
+      return make_error(ErrorCode::kExecutionFailed, "matrix has a non-finite entry");
+    }
+    if (p_abs <= singular_below[k]) {
       return make_error(ErrorCode::kExecutionFailed, "matrix is singular");
     }
     if (p != k) {
@@ -41,15 +100,51 @@ Result<LuFactorization> LuFactorization::factor(Matrix a) {
       for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
     }
     const double pivot = a(k, k);
+    const double* lcol = a.col(k);
     for (std::size_t i = k + 1; i < n; ++i) a(i, k) /= pivot;
-    // Rank-1 trailing update, column-wise for locality.
-    for (std::size_t j = k + 1; j < n; ++j) {
+    for (std::size_t j = k + 1; j < j1; ++j) {
       const double akj = a(k, j);
-      if (akj == 0.0) continue;
       double* col = a.col(j);
-      const double* lcol = a.col(k);
       for (std::size_t i = k + 1; i < n; ++i) col[i] -= lcol[i] * akj;
     }
+  }
+  return ok_status();
+}
+
+}  // namespace
+
+Result<LuFactorization> LuFactorization::factor(Matrix a) {
+  if (!a.square()) {
+    return make_error(ErrorCode::kBadArguments, "LU requires a square matrix");
+  }
+  const std::size_t n = a.rows();
+  std::vector<int> pivots(n);
+  int sign = 1;
+  // Column k is singular when elimination leaves no pivot above n·eps times
+  // its largest original entry: it is then a combination of the columns
+  // before it to working precision, and no digit of x would be right. An
+  // all-zero column gives a threshold of 0, the exact-singularity check.
+  Vector singular_below(n, 0.0);
+  const double tolerance = static_cast<double>(n) * std::numeric_limits<double>::epsilon();
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* col = a.col(j);
+    for (std::size_t i = 0; i < n; ++i) {
+      singular_below[j] = std::max(singular_below[j], std::abs(col[i]));
+    }
+    singular_below[j] *= tolerance;
+  }
+  // Right-looking blocked elimination, as LAPACK dgetrf: factor a panel of
+  // kPanel columns, solve for the U12 block row beside it, then update the
+  // trailing matrix with one GEMM.
+  for (std::size_t j0 = 0; j0 < n; j0 += kPanel) {
+    const std::size_t j1 = std::min(j0 + kPanel, n);
+    if (auto panel = factor_panel(a, j0, j1, singular_below, pivots, sign); !panel.ok()) {
+      return panel.error();
+    }
+    if (j1 == n) break;
+    solve_unit_lower(a, j0, j1, j1, n);
+    gemm_update(n - j1, n - j1, j1 - j0, -1.0, {&a(j1, j0), 1, n}, {&a(j0, j1), 1, n}, &a(j1, j1),
+                n);
   }
   return LuFactorization(std::move(a), std::move(pivots), sign);
 }
@@ -104,15 +199,29 @@ double LuFactorization::determinant() const noexcept {
 }
 
 Result<Vector> dgesv(const Matrix& a, const Vector& b) {
+  if (!all_finite(b)) {
+    return make_error(ErrorCode::kExecutionFailed, "right-hand side has a non-finite entry");
+  }
   auto lu = LuFactorization::factor(a);
   if (!lu.ok()) return lu.error();
-  return lu.value().solve(b);
+  auto x = lu.value().solve(b);
+  if (x.ok() && !all_finite(x.value())) {
+    return make_error(ErrorCode::kExecutionFailed, "solution has a non-finite entry");
+  }
+  return x;
 }
 
 Result<Matrix> dgesv(const Matrix& a, const Matrix& b) {
+  if (!all_finite(b.storage())) {
+    return make_error(ErrorCode::kExecutionFailed, "right-hand side has a non-finite entry");
+  }
   auto lu = LuFactorization::factor(a);
   if (!lu.ok()) return lu.error();
-  return lu.value().solve(b);
+  auto x = lu.value().solve(b);
+  if (x.ok() && !all_finite(x.value().storage())) {
+    return make_error(ErrorCode::kExecutionFailed, "solution has a non-finite entry");
+  }
+  return x;
 }
 
 double lu_flops(std::size_t n) noexcept {

@@ -12,8 +12,9 @@ namespace ns::linalg {
 
 class LuFactorization {
  public:
-  /// Factor A = P L U in place (A must be square). Fails with
-  /// kExecutionFailed on exact singularity.
+  /// Factor A = P L U in place (A must be square), blocked right-looking
+  /// on the packed GEMM kernel. Fails with kExecutionFailed on exact
+  /// singularity or on a pivot that is not finite (a NaN or Inf in A).
   static Result<LuFactorization> factor(Matrix a);
 
   /// Solve A x = b for one right-hand side.
@@ -38,7 +39,8 @@ class LuFactorization {
   int pivot_sign_ = 1;
 };
 
-/// LAPACK-style convenience: solve A x = b in one call.
+/// LAPACK-style convenience: solve A x = b in one call. Fails with
+/// kExecutionFailed, never a NaN answer, when b or x has a non-finite entry.
 Result<Vector> dgesv(const Matrix& a, const Vector& b);
 
 /// Solve with multiple right-hand sides.

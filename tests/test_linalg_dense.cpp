@@ -3,8 +3,14 @@
 // sweeps: residual bounds on random systems across sizes and seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
+#include <thread>
 
+#include "common/cancel.hpp"
+#include "common/checkpoint.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/eigen.hpp"
@@ -179,6 +185,63 @@ TEST(BlasTest, GemmAssociativityProperty) {
   EXPECT_LT(max_abs_diff(left, right), 1e-10);
 }
 
+// Shapes straddle every block edge of the packed kernel: the 8-row and
+// 4-column register tile, the 128-row A block and the 256-deep panel pair.
+struct GemmShape {
+  std::size_t m, n, k;
+};
+
+class GemmShapeTest : public ::testing::TestWithParam<GemmShape> {};
+
+TEST_P(GemmShapeTest, MatchesNaiveReferenceForAlphaBeta) {
+  const auto [m, n, k] = GetParam();
+  Rng rng(m * 1000003 + n * 1009 + k);
+  const Matrix a = Matrix::random(m, k, rng);
+  const Matrix b = Matrix::random(k, n, rng);
+  const Matrix c0 = Matrix::random(m, n, rng);
+  const double combos[][2] = {{1.0, 0.0}, {-1.5, 0.0}, {2.0, 1.0}, {0.5, -3.0}, {0.0, 2.0}};
+  for (const auto& [alpha, beta] : combos) {
+    // beta == 0 must overwrite C without reading it, NaNs included.
+    Matrix c = beta == 0.0 ? Matrix(m, n, std::nan("")) : c0;
+    gemm(alpha, a, b, beta, c);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        double ab = 0.0;
+        for (std::size_t l = 0; l < k; ++l) ab += a(i, l) * b(l, j);
+        const double ref = alpha * ab + (beta == 0.0 ? 0.0 : beta * c0(i, j));
+        ASSERT_NEAR(c(i, j), ref, 1e-13 * static_cast<double>(k + 1))
+            << "alpha " << alpha << " beta " << beta << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapeTest,
+                         ::testing::Values(GemmShape{1, 1, 1}, GemmShape{7, 5, 3},
+                                           GemmShape{9, 13, 257}, GemmShape{130, 70, 300},
+                                           GemmShape{0, 5, 3}, GemmShape{4, 0, 3},
+                                           GemmShape{4, 5, 0}));
+
+TEST(BlasTest, GemmUpdateOnTransposedStridedViews) {
+  // gemm_update reads sub-blocks in place: C(2:9, 1:6) += A^T B with A^T
+  // a transposed view of a 5x7 block and B a block of a taller matrix.
+  Rng rng(9);
+  const Matrix at = Matrix::random(5, 7, rng);  // A = at^T is 7x5
+  const Matrix big_b = Matrix::random(9, 6, rng);
+  Matrix c(10, 8, 1.0);
+  gemm_update(7, 5, 5, 2.0, {at.data(), at.rows(), 1}, {big_b.col(1) + 3, 1, big_b.rows()},
+              &c(2, 1), c.rows());
+  for (std::size_t j = 0; j < 8; ++j) {
+    for (std::size_t i = 0; i < 10; ++i) {
+      double ref = 1.0;
+      if (i >= 2 && i < 9 && j >= 1 && j < 6) {
+        for (std::size_t l = 0; l < 5; ++l) ref += 2.0 * at(l, i - 2) * big_b(3 + l, j);
+      }
+      EXPECT_NEAR(c(i, j), ref, 1e-13) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
 // ---- LU ----
 
 struct SolveCase {
@@ -202,11 +265,62 @@ TEST_P(LuPropertyTest, SolvesRandomSystems) {
   EXPECT_LT(residual_inf(a, x.value(), b), 1e-8 * a.max_abs() * static_cast<double>(n));
 }
 
+// L (unit lower) times U, both unpacked from the packed L\U storage.
+Matrix multiply_lu(const Matrix& packed) {
+  const std::size_t n = packed.rows();
+  Matrix l(n, n);
+  Matrix u(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > j) {
+        l(i, j) = packed(i, j);
+      } else {
+        u(i, j) = packed(i, j);
+      }
+    }
+    l(j, j) = 1.0;
+  }
+  return matmul(l, u);
+}
+
+// P A: the recorded row swaps applied to A in order.
+Matrix permute_rows(Matrix a, const std::vector<int>& pivots) {
+  for (std::size_t k = 0; k < pivots.size(); ++k) {
+    const auto p = static_cast<std::size_t>(pivots[k]);
+    for (std::size_t j = 0; j < a.cols(); ++j) std::swap(a(k, j), a(p, j));
+  }
+  return a;
+}
+
+TEST_P(LuPropertyTest, FactorsGeneralMatrices) {
+  // General (not diagonally dominant) matrices, so partial pivoting really
+  // swaps rows, across every panel edge of the blocked factorization.
+  const auto [n, seed] = GetParam();
+  Rng rng(seed + 1000);
+  const Matrix a = Matrix::random(n, n, rng);
+  auto lu = LuFactorization::factor(a);
+  ASSERT_TRUE(lu.ok());
+  // ||PA - LU|| small relative to ||A||.
+  Matrix diff = permute_rows(a, lu.value().pivots());
+  axpy(-1.0, multiply_lu(lu.value().packed()).storage(), diff.storage());
+  EXPECT_LT(diff.frobenius_norm(), 1e-14 * static_cast<double>(n) * a.frobenius_norm());
+
+  const Vector x_true = random_vector(n, rng);
+  Vector b(n, 0.0);
+  gemv(1.0, a, x_true, 0.0, b);
+  auto x = lu.value().solve(b);
+  ASSERT_TRUE(x.ok());
+  EXPECT_LT(residual_inf(a, x.value(), b), 1e-12 * a.max_abs() * static_cast<double>(n));
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, LuPropertyTest,
                          ::testing::Values(SolveCase{1, 10}, SolveCase{2, 11}, SolveCase{3, 12},
                                            SolveCase{5, 13}, SolveCase{8, 14}, SolveCase{16, 15},
                                            SolveCase{33, 16}, SolveCase{64, 17},
-                                           SolveCase{100, 18}, SolveCase{150, 19}));
+                                           SolveCase{100, 18}, SolveCase{150, 19},
+                                           SolveCase{63, 90}, SolveCase{65, 91},
+                                           SolveCase{127, 92}, SolveCase{129, 93},
+                                           SolveCase{200, 94}, SolveCase{300, 95}));
 
 TEST(LuTest, SingularMatrixRejected) {
   Matrix a(3, 3);  // all zeros
@@ -279,6 +393,113 @@ TEST(LuTest, FlopsFormula) {
   EXPECT_GT(lu_flops(100), lu_flops(99));
 }
 
+TEST(LuTest, RankDeficientBeyondFirstPanelRejected) {
+  // Column 100 copies column 10: the dependency only shows after the first
+  // 64-column panel has been factored and the trailing matrix updated.
+  Rng rng(22);
+  Matrix a = Matrix::random(200, 200, rng);
+  std::copy(a.col(10), a.col(10) + 200, a.col(100));
+  auto lu = LuFactorization::factor(a);
+  ASSERT_FALSE(lu.ok());
+  EXPECT_EQ(lu.error().code, ErrorCode::kExecutionFailed);
+}
+
+TEST(LuTest, DeterminantSignOfLargePermutation) {
+  constexpr std::size_t n = 130;
+  Rng rng(23);
+  std::vector<std::size_t> perm(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  std::shuffle(perm.begin(), perm.end(), rng);
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) a(i, perm[i]) = 1.0;
+  // sign(perm) = (-1)^(n - number of cycles).
+  std::vector<bool> seen(n, false);
+  std::size_t cycles = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (seen[i]) continue;
+    ++cycles;
+    for (std::size_t j = i; !seen[j]; j = perm[j]) seen[j] = true;
+  }
+  auto lu = LuFactorization::factor(a);
+  ASSERT_TRUE(lu.ok());
+  EXPECT_EQ(lu.value().determinant(), (n - cycles) % 2 == 0 ? 1.0 : -1.0);
+}
+
+TEST(LuTest, NanInMatrixRejected) {
+  Rng rng(24);
+  Matrix a = Matrix::random(200, 200, rng);
+  a(150, 37) = std::nan("");
+  auto lu = LuFactorization::factor(a);
+  ASSERT_FALSE(lu.ok());
+  EXPECT_EQ(lu.error().code, ErrorCode::kExecutionFailed);
+  auto x = dgesv(a, random_vector(200, rng));
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.error().code, ErrorCode::kExecutionFailed);
+}
+
+TEST(LuTest, InfInMatrixRejected) {
+  Rng rng(25);
+  Matrix a = Matrix::random(200, 200, rng);
+  a(3, 120) = -std::numeric_limits<double>::infinity();
+  auto lu = LuFactorization::factor(a);
+  ASSERT_FALSE(lu.ok());
+  EXPECT_EQ(lu.error().code, ErrorCode::kExecutionFailed);
+  auto x = dgesv(a, random_vector(200, rng));
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.error().code, ErrorCode::kExecutionFailed);
+}
+
+TEST(LuTest, NanInRhsRejected) {
+  Rng rng(26);
+  const Matrix a = Matrix::random_diag_dominant(100, rng);
+  Vector b = random_vector(100, rng);
+  b[42] = std::nan("");
+  auto x = dgesv(a, b);
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.error().code, ErrorCode::kExecutionFailed);
+  // Caught on entry, before any factorization work.
+  EXPECT_NE(x.error().message.find("right-hand side"), std::string::npos) << x.error().message;
+}
+
+// DESIGN §12: LU polls for cancellation and publishes progress once per
+// pivot column, panels and trailing updates included.
+TEST(LuTest, PreTrippedTokenCancels) {
+  Rng rng(27);
+  const Matrix a = Matrix::random(1024, 1024, rng);
+  cancel::Token token;
+  token.cancel();
+  const cancel::ScopedToken bind(&token);
+  auto x = dgesv(a, random_vector(1024, rng));
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.error().code, ErrorCode::kCancelled);
+}
+
+TEST(LuTest, CancelledMidFactorizationStopsEarly) {
+  constexpr std::size_t n = 1024;
+  Rng rng(28);
+  const Matrix a = Matrix::random(n, n, rng);
+  const Vector b = random_vector(n, rng);
+  cancel::Token token;
+  checkpoint::Token progress;
+  std::atomic<bool> done{false};
+  std::thread tripper([&] {
+    while (!done.load() && progress.iteration() <= 64) std::this_thread::yield();
+    token.cancel();
+  });
+  Result<Vector> x = make_error(ErrorCode::kInternal, "not run");
+  {
+    const cancel::ScopedToken bind_cancel(&token);
+    const checkpoint::ScopedToken bind_progress(&progress);
+    x = dgesv(a, b);
+  }
+  done.store(true);
+  tripper.join();
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.error().code, ErrorCode::kCancelled);
+  EXPECT_GT(progress.iteration(), 64u);
+  EXPECT_LT(progress.iteration(), n);
+}
+
 // ---- Cholesky ----
 
 class CholeskyPropertyTest : public ::testing::TestWithParam<SolveCase> {};
@@ -299,7 +520,7 @@ TEST_P(CholeskyPropertyTest, SolvesSpdSystems) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyPropertyTest,
                          ::testing::Values(SolveCase{1, 30}, SolveCase{4, 31}, SolveCase{9, 32},
                                            SolveCase{16, 33}, SolveCase{40, 34},
-                                           SolveCase{80, 35}));
+                                           SolveCase{80, 35}, SolveCase{200, 38}));
 
 TEST(CholeskyTest, FactorReconstructs) {
   Rng rng(36);
@@ -309,6 +530,20 @@ TEST(CholeskyTest, FactorReconstructs) {
   const Matrix& l = chol.value().lower();
   const Matrix rebuilt = matmul(l, l.transposed());
   EXPECT_LT(max_abs_diff(a, rebuilt), 1e-9 * a.max_abs());
+}
+
+TEST(CholeskyTest, BlockedFactorReconstructs) {
+  // Past two 64-column blocks: the trailing updates write into the upper
+  // triangle of each diagonal block, which must come back zeroed.
+  Rng rng(39);
+  const Matrix a = Matrix::random_spd(150, rng);
+  auto chol = CholeskyFactorization::factor(a);
+  ASSERT_TRUE(chol.ok());
+  const Matrix& l = chol.value().lower();
+  for (std::size_t j = 1; j < 150; ++j) {
+    for (std::size_t i = 0; i < j; ++i) ASSERT_EQ(l(i, j), 0.0) << "(" << i << ", " << j << ")";
+  }
+  EXPECT_LT(max_abs_diff(a, matmul(l, l.transposed())), 1e-12 * a.max_abs());
 }
 
 TEST(CholeskyTest, IndefiniteRejected) {
@@ -464,7 +699,9 @@ TEST_P(EigenPropertyTest, ResidualAndOrthogonality) {
     // SPD: all eigenvalues positive.
     EXPECT_GT(values[j], 0.0);
     // Ascending order.
-    if (j > 0) EXPECT_LE(values[j - 1], values[j] + 1e-12);
+    if (j > 0) {
+      EXPECT_LE(values[j - 1], values[j] + 1e-12);
+    }
   }
   // Trace equals eigenvalue sum.
   double trace = 0, sum = 0;
