@@ -7,6 +7,9 @@
 // complexity models in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dsl/value.hpp"
 #include "linalg/blas.hpp"
@@ -16,6 +19,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse.hpp"
+#include "serial/crc32.hpp"
 
 namespace {
 
@@ -162,6 +166,19 @@ void BM_UnmarshalMatrix(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_UnmarshalMatrix)->Arg(64)->Arg(256)->Arg(512);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(9);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serial::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536)->Arg(4194304);
 
 }  // namespace
 

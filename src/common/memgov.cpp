@@ -1,6 +1,7 @@
 #include "common/memgov.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -96,10 +97,15 @@ Result<std::vector<std::uint8_t>> SpillStore::load(std::uint64_t id) const {
     return make_error(ErrorCode::kInternal,
                       std::string("spill open failed: ") + std::strerror(errno));
   }
+  // No CRC covers the length field, so check it against the file size
+  // before allocating: a flipped high bit must not become a huge resize.
   SpillHeader header;
+  struct stat st {};
   if (vfs::read(fd, path, &header, sizeof(header)) !=
           static_cast<ssize_t>(sizeof(header)) ||
-      header.magic != kSpillMagic) {
+      header.magic != kSpillMagic || ::fstat(fd, &st) != 0 ||
+      st.st_size < static_cast<off_t>(sizeof(header)) ||
+      header.length != static_cast<std::uint64_t>(st.st_size) - sizeof(header)) {
     vfs::close(fd);
     return make_error(ErrorCode::kInternal, "spill header corrupt");
   }

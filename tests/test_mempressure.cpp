@@ -174,6 +174,30 @@ TEST(SpillStoreTest, CorruptedSpillFileIsRefusedByCrc) {
   EXPECT_FALSE(store.load(7).ok()) << "bit rot must be caught by the CRC";
 }
 
+// The length field sits outside the payload CRC. A corrupt one must be
+// refused before anything is allocated: 2^63+5 would make the resize throw
+// std::length_error, and one byte too many would read past the payload.
+TEST(SpillStoreTest, CorruptedLengthFieldIsRefusedWithoutThrowing) {
+  TempDir dir;
+  mem::SpillStore store;
+  store.configure(dir.path);
+  const std::vector<std::uint8_t> payload(4096, 0x5a);
+  const std::string path = dir.path + "/9.spill";
+  constexpr std::streamoff kLengthOffset = 8;  // after magic and CRC
+  for (const std::uint64_t length : {(std::uint64_t{1} << 63) + 5, payload.size() + 1}) {
+    ASSERT_TRUE(store.save(9, payload).ok());
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekp(kLengthOffset);
+      f.write(reinterpret_cast<const char*>(&length), sizeof(length));
+    }
+    Result<std::vector<std::uint8_t>> back = std::vector<std::uint8_t>{};
+    EXPECT_NO_THROW(back = store.load(9)) << "length " << length;
+    EXPECT_FALSE(back.ok()) << "a corrupt length field must be refused: " << length;
+  }
+}
+
 TEST(SpillStoreTest, WriteFailureDegradesToInRamOnly) {
   TempDir dir;
   mem::SpillStore store;

@@ -278,16 +278,23 @@ std::vector<std::uint8_t> crc_test_bytes(std::size_t size, std::uint64_t seed) {
   return bytes;
 }
 
-// Every length across several 16-byte blocks plus tail, from every start
-// alignment: the block loop, the tail loop and the unaligned loads all run.
+// Every length up to 17 whole 64-byte blocks, from every start alignment:
+// each count of folded blocks, each 16-byte remainder after them, each
+// byte tail and each unaligned load all run against the bitwise reference.
 TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
-  const auto bytes = crc_test_bytes(300 + 16, 0xc4c32);
+  const auto bytes = crc_test_bytes(1100 + 16, 0xc4c32);
   for (std::size_t offset = 0; offset < 16; ++offset) {
-    for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
       ASSERT_EQ(crc32(bytes.data() + offset, len), reference_crc32(bytes.data() + offset, len))
           << "offset " << offset << " length " << len;
     }
   }
+}
+
+// A frame-sized buffer whose length is neither a multiple of 64 nor of 16.
+TEST(Crc32Test, MatchesReferenceOnMultiMegabyteBuffer) {
+  const auto bytes = crc_test_bytes((4u << 20) + 13, 0x4d1b);
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), reference_crc32(bytes.data(), bytes.size()));
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShotAtEverySplit) {
@@ -322,6 +329,16 @@ TEST(Crc32Test, PinnedFrameHeaderBytes) {
   auto decoded = decode_header(header);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(check_payload(decoded.value(), payload).ok());
+}
+
+// The frame header and journal record pins hash 14 and 50 bytes, less than
+// one 64-byte fold block; this one pins a checksum the fold computes.
+TEST(Crc32Test, PinnedFourKilobytePattern) {
+  std::vector<std::uint8_t> bytes(4096);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0xa3f5519cu);
 }
 
 TEST(Crc32Test, PinnedJournalRecordCrc) {
