@@ -19,6 +19,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/sparse.hpp"
+#include "proto/messages.hpp"
 #include "serial/crc32.hpp"
 
 namespace {
@@ -179,6 +180,47 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(65536)->Arg(4194304);
+
+/// A daxpy request the shape of the bulk_vectors workload: alpha plus two
+/// n-vectors.
+proto::SolveRequest daxpy_request(std::size_t n) {
+  Rng rng(10);
+  proto::SolveRequest request;
+  request.request_id = 1;
+  request.problem = "daxpy";
+  request.args = {dsl::DataObject(2.5), dsl::DataObject(random_vector(n, rng)),
+                  dsl::DataObject(random_vector(n, rng))};
+  return request;
+}
+
+void BM_EncodeSolveRequest(benchmark::State& state) {
+  const proto::SolveRequest request = daxpy_request(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    serial::Encoder enc;
+    request.encode(enc);
+    bytes = enc.size();
+    benchmark::DoNotOptimize(enc.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeSolveRequest)->Arg(1 << 18);
+
+void BM_DecodeSolveRequest(benchmark::State& state) {
+  serial::Encoder enc;
+  daxpy_request(static_cast<std::size_t>(state.range(0))).encode(enc);
+  const serial::Bytes bytes = enc.take();
+  for (auto _ : state) {
+    serial::Decoder dec(bytes);
+    auto back = proto::SolveRequest::decode(dec);
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeSolveRequest)->Arg(1 << 18);
 
 }  // namespace
 

@@ -6,6 +6,9 @@
 // into EXPERIMENTS.md directly.
 #pragma once
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -52,17 +55,40 @@ struct Options {
   }
 };
 
-/// Write `{"experiment": ..., "quick": ..., "metrics": <registry dump>}` to
-/// `path`. The dump carries everything the run produced: the bench.* result
-/// gauges plus the client/agent/server counters and span histograms that
-/// accumulated in this process while the in-process clusters ran.
+/// The shape of the host a run was taken on: online CPUs, and the CPUs this
+/// process may run on (fewer when pinned, e.g. by taskset).
+/// scripts/check_bench_regression.py refuses to compare runs of different
+/// shapes.
+struct HostShape {
+  long nproc = 0;
+  int affinity_cpus = 0;
+
+  static HostShape current() {
+    HostShape h;
+    h.nproc = sysconf(_SC_NPROCESSORS_ONLN);
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    h.affinity_cpus = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+    return h;
+  }
+};
+
+/// Write `{"experiment": ..., "quick": ..., "host": {...}, "metrics": <registry
+/// dump>}` to `path`. The dump carries everything the run produced: the
+/// bench.* result gauges plus the client/agent/server counters and span
+/// histograms that accumulated in this process while the in-process clusters
+/// ran.
 inline bool write_metrics_json(const std::string& path, const std::string& experiment,
                                bool quick) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   const std::string dump = metrics::Registry::instance().snapshot().to_json();
-  std::fprintf(out, "{\"experiment\": \"%s\", \"quick\": %s, \"metrics\": %s}\n",
-               experiment.c_str(), quick ? "true" : "false", dump.c_str());
+  const HostShape host = HostShape::current();
+  std::fprintf(out,
+               "{\"experiment\": \"%s\", \"quick\": %s, \"host\": {\"nproc\": %ld, "
+               "\"affinity_cpus\": %d}, \"metrics\": %s}\n",
+               experiment.c_str(), quick ? "true" : "false", host.nproc, host.affinity_cpus,
+               dump.c_str());
   std::fclose(out);
   return true;
 }

@@ -27,6 +27,15 @@ together or alone:
     present and >= VALUE. Used for acceptance-shaped results that have a
     hard meaning rather than a drifting baseline — e.g. the E4g checkpoint
     replication wire-compression ratio must stay >= 3x raw.
+
+Host shape: each bench --json file records the `host` it ran on (nproc,
+affinity_cpus; see bench/harness.hpp). A baseline's `host` note
+names the shape its numbers hold for; the gate refuses to compare a result
+that differs from it on any key the note names, and says which. A gauge
+measured on a different shape is a different number, not a regression.
+--write-baseline keeps every other top-level key of the existing baseline
+(comment, source, host, reference figures) and replaces only `metrics`; it
+refuses results whose shape differs from the existing note.
 """
 
 import argparse
@@ -34,11 +43,32 @@ import json
 import sys
 
 
-def load_gauges(path, prefix):
+# Host-shape keys: the CPU fields of perfbench/run.py's HOST_KEYS. The
+# bench harness does not record the build fields, and `pinned` adds nothing
+# once affinity_cpus is known.
+HOST_KEYS = ("nproc", "affinity_cpus")
+
+DEFAULT_COMMENT = ("Transport benchmark baseline. Regenerate with "
+                   "scripts/check_bench_regression.py --write-baseline after "
+                   "an intentional perf change; CI gates against these values.")
+DEFAULT_SOURCE = "bench_agent --quick --json / bench_scalability --quick --json"
+
+
+def load_result(path, prefix):
+    """(host shape or None, {gauge: value}) for one bench --json file."""
     with open(path) as f:
         doc = json.load(f)
     gauges = doc.get("metrics", {}).get("gauges", {})
-    return {k: float(v) for k, v in gauges.items() if k.startswith(prefix)}
+    return doc.get("host"), {k: float(v) for k, v in gauges.items() if k.startswith(prefix)}
+
+
+def shape_mismatch(want, host):
+    """Why `host` is not the shape `want` names, or None if it is."""
+    if host is None:
+        return "it records no host shape"
+    diffs = [f"{k}={host.get(k)!r} where the baseline has {want[k]!r}"
+             for k in HOST_KEYS if k in want and host.get(k) != want[k]]
+    return ", ".join(diffs) or None
 
 
 def is_latency(name):
@@ -66,20 +96,44 @@ def main():
         parser.error("--write-baseline needs --baseline")
 
     current = {}
+    hosts = {}
     for path in args.results:
-        current.update(load_gauges(path, args.prefix))
+        hosts[path], gauges = load_result(path, args.prefix)
+        current.update(gauges)
     if not current:
         print(f"error: no {args.prefix}* gauges found in {args.results}", file=sys.stderr)
         return 1
 
+    baseline_doc = {}
+    if args.baseline:
+        try:
+            with open(args.baseline) as f:
+                baseline_doc = json.load(f)
+        except FileNotFoundError:
+            if not args.write_baseline:
+                raise
+    want = baseline_doc.get("host")
+    if args.write_baseline and not want:
+        # A fresh note records the shape of the first result; the rest must match it.
+        first = hosts[args.results[0]]
+        want = {k: first[k] for k in HOST_KEYS if first and k in first}
+    if want:
+        for path, host in hosts.items():
+            why = shape_mismatch(want, host)
+            if why:
+                print(f"refused: {path} was not taken on the baseline's host shape "
+                      f"{want}: {why}", file=sys.stderr)
+                return 1
+    elif args.baseline:
+        print(f"warning: {args.baseline} has no host note; host shape not checked",
+              file=sys.stderr)
+
     if args.write_baseline:
-        doc = {
-            "comment": "Transport benchmark baseline. Regenerate with "
-                       "scripts/check_bench_regression.py --write-baseline after "
-                       "an intentional perf change; CI gates against these values.",
-            "source": "bench_agent --quick --json / bench_scalability --quick --json",
-            "metrics": {k: round(v, 3) for k, v in sorted(current.items())},
-        }
+        doc = dict(baseline_doc)
+        doc.setdefault("comment", DEFAULT_COMMENT)
+        doc.setdefault("source", DEFAULT_SOURCE)
+        doc.setdefault("host", want)
+        doc["metrics"] = {k: round(v, 3) for k, v in sorted(current.items())}
         with open(args.baseline, "w") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")
@@ -104,8 +158,7 @@ def main():
         print(f"  [{verdict:>4}] {name}: {cur:g} vs floor {floor:g}")
 
     if args.baseline:
-        with open(args.baseline) as f:
-            baseline = json.load(f)["metrics"]
+        baseline = baseline_doc["metrics"]
         gated += len(baseline)
 
         for name in sorted(baseline):

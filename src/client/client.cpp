@@ -19,9 +19,11 @@ namespace {
 
 using proto::MessageType;
 
-serial::Bytes encode_payload(const auto& msg) {
+/// `extra` goes to the message's encode(): a SolveRequest takes the
+/// caller's arguments there, so the request itself never copies them.
+serial::Bytes encode_payload(const auto& msg, const auto&... extra) {
   serial::Encoder enc;
-  msg.encode(enc);
+  msg.encode(enc, extra...);
   return enc.take();
 }
 
@@ -343,6 +345,7 @@ Result<proto::ServerList> NetSolveClient::query(const std::string& problem,
 
 Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate& candidate,
                                                    const proto::SolveRequest& request,
+                                                   const std::vector<dsl::DataObject>& args,
                                                    double* io_seconds) {
   const Stopwatch watch;
   const double timeout = attempt_timeout(config_, request);
@@ -353,7 +356,7 @@ Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate&
       net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
   if (!channel.ok()) return channel.error();
   auto reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
-                                     encode_payload(request),
+                                     encode_payload(request, args),
                                      static_cast<std::uint16_t>(MessageType::kSolveResult),
                                      request.request_id, timeout, config_.link);
   if (reply.ok() && io_seconds != nullptr) *io_seconds = watch.elapsed();
@@ -427,7 +430,6 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   proto::SolveRequest request;
   request.request_id = next_request_id_.fetch_add(1);
   request.problem = problem;
-  request.args = args;
   request.trace_id = st.trace_id;
   request.client_id = client_id_;
   request.require_durable = config_.require_durable;
@@ -681,7 +683,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
         ++ci;
         const double attempt_start = total_watch.elapsed();
         double io_seconds = 0.0;
-        auto result = attempt(candidate, request, &io_seconds);
+        auto result = attempt(candidate, request, args, &io_seconds);
 
         if (!result.ok() && config_.reattach_s > 0.0 &&
             result.error().code != ErrorCode::kConnectFailed) {
@@ -764,7 +766,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
       const auto launch = [&](const proto::ServerCandidate& cand) -> HedgeRace::Slot& {
         request.deadline_s = budgeted ? deadline.remaining() : 0.0;
         return race.launch(cand, total_watch.elapsed(), attempt_timeout(config_, request),
-                           encode_payload(request), config_.link);
+                           encode_payload(request, args), config_.link);
       };
 
       const HedgeRace::Slot* const primary = &launch(candidate);

@@ -238,8 +238,11 @@ class NetSolveClient {
                                            trace::TraceId trace_id = trace::kNoTrace,
                                            bool* degraded = nullptr);
   /// One attempt against one server; transport-level failures are retryable.
+  /// `request` carries no arguments: `args` are encoded into it on the wire.
   Result<proto::SolveResult> attempt(const proto::ServerCandidate& candidate,
-                                     const proto::SolveRequest& request, double* io_seconds);
+                                     const proto::SolveRequest& request,
+                                     const std::vector<dsl::DataObject>& args,
+                                     double* io_seconds);
   /// The hedge delay for one call: the per-problem attempt-latency quantile
   /// once enough samples exist, else the configured static delay. 0 = off.
   double hedge_delay_for(const std::string& problem) const;

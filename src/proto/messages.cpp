@@ -270,10 +270,17 @@ Result<ProblemCatalog> ProblemCatalog::decode(serial::Decoder& dec) {
   return msg;
 }
 
-void SolveRequest::encode(serial::Encoder& enc) const {
+void SolveRequest::encode(serial::Encoder& enc) const { encode(enc, args); }
+
+void SolveRequest::encode(serial::Encoder& enc,
+                          const std::vector<dsl::DataObject>& with_args) const {
+  // Exact size up front: a bulk request is one allocation and one copy of
+  // each argument, not a chain of geometric regrowths.
+  enc.reserve(enc.size() + 8 + 4 + problem.size() + dsl::args_byte_size(with_args) + 8 + 8 +
+              8 + 1);
   enc.put_u64(request_id);
   enc.put_string(problem);
-  dsl::encode_args(enc, args);
+  dsl::encode_args(enc, with_args);
   enc.put_f64(deadline_s);
   enc.put_u64(trace_id);
   enc.put_u64(client_id);
@@ -313,6 +320,8 @@ Result<SolveRequest> SolveRequest::decode(serial::Decoder& dec) {
 }
 
 void SolveResult::encode(serial::Encoder& enc) const {
+  enc.reserve(enc.size() + 8 + 2 + 4 + error_message.size() + dsl::args_byte_size(outputs) +
+              8 + 8 + 8 + 4 + migrated_host.size() + 2);
   enc.put_u64(request_id);
   enc.put_u16(error_code);
   enc.put_string(error_message);

@@ -219,6 +219,9 @@ struct SolveRequest {
   bool require_durable = false;
 
   void encode(serial::Encoder& enc) const;
+  /// Encode with `with_args` in place of `args`, so a caller can send its
+  /// arguments without first copying them into the request.
+  void encode(serial::Encoder& enc, const std::vector<dsl::DataObject>& with_args) const;
   static Result<SolveRequest> decode(serial::Decoder& dec);
 };
 

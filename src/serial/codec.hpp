@@ -56,12 +56,12 @@ class Encoder {
   template <typename T>
   void put_le(T v) {
     static_assert(std::is_unsigned_v<T>);
-    const std::size_t offset = buf_.size();
-    buf_.resize(offset + sizeof(T));
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    std::uint8_t le[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    buf_.insert(buf_.end(), le, le + sizeof(T));
   }
+  /// Append raw bytes to the buffer.
+  void append(const void* data, std::size_t size);
 
   Bytes buf_;
 };

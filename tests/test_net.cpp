@@ -221,6 +221,10 @@ TEST(ShapedLinkTest, LatencyDelaysDelivery) {
   LinkShape shape;
   shape.latency_s = 0.05;
 
+  // The clock starts before the sender exists: its latency sleep begins
+  // right after connect, so a clock started after a late accept() would
+  // miss part of the delay.
+  const Stopwatch watch;
   std::thread sender([ep = listener.value().endpoint(), shape] {
     auto conn = TcpConnection::connect(ep);
     ASSERT_TRUE(conn.ok());
@@ -230,7 +234,6 @@ TEST(ShapedLinkTest, LatencyDelaysDelivery) {
 
   auto conn = listener.value().accept(2.0);
   ASSERT_TRUE(conn.ok());
-  const Stopwatch watch;
   char buf[8];
   ASSERT_TRUE(conn.value().recv_all(buf, sizeof(buf), 2.0).ok());
   EXPECT_GE(watch.elapsed(), 0.045);

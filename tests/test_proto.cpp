@@ -677,5 +677,92 @@ TEST(ProtoFuzzTest, BitFlipsEitherDecodeOrFailCleanly) {
   SUCCEED();
 }
 
+// ---- exact-size encoding ----
+
+std::vector<dsl::DataObject> every_kind_of_arg(Rng& rng) {
+  auto sparse = linalg::CsrMatrix::from_csr(2, 3, {0, 1, 3}, {2, 0, 1}, {1.5, -2.0, 4.0});
+  EXPECT_TRUE(sparse.ok());
+  return {dsl::DataObject::from_int(-7), dsl::DataObject(0.25),
+          dsl::DataObject(std::string("label")),
+          dsl::DataObject(linalg::random_vector(33, rng)),
+          dsl::DataObject(linalg::Matrix::random(3, 5, rng)),
+          dsl::DataObject(std::move(sparse).value())};
+}
+
+// A client encodes each attempt straight from the caller's arguments; the
+// bytes must be exactly those of a request that holds the same arguments.
+TEST(ProtoEncodeTest, EncodeWithArgsMatchesEncodeOfHeldArgs) {
+  Rng rng(11);
+  SolveRequest bare;
+  bare.request_id = 0x0102030405060708ull;
+  bare.problem = "mixed";
+  bare.deadline_s = 2.5;
+  bare.trace_id = 99;
+  bare.client_id = 0xabcdefull;
+  bare.require_durable = true;
+  const auto args = every_kind_of_arg(rng);
+
+  SolveRequest held = bare;
+  held.args = args;
+  serial::Encoder from_args;
+  bare.encode(from_args, args);
+  EXPECT_EQ(from_args.bytes(), encode_msg(held));
+
+  // encode(enc) is encode(enc, args) with the request's own arguments.
+  serial::Encoder forwarded;
+  held.encode(forwarded, held.args);
+  EXPECT_EQ(forwarded.bytes(), encode_msg(held));
+
+  serial::Decoder dec(from_args.bytes());
+  auto back = SolveRequest::decode(dec);
+  ASSERT_TRUE(back.ok()) << back.error().to_string();
+  EXPECT_TRUE(dec.expect_exhausted().ok());
+  ASSERT_EQ(back.value().args.size(), args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) EXPECT_EQ(back.value().args[i], args[i]) << i;
+}
+
+// Bulk messages reserve their exact size before the first put: the buffer
+// is allocated once and ends exactly full, even after bytes already in the
+// encoder.
+TEST(ProtoEncodeTest, BulkRequestAndResultEncodeWithoutRegrowth) {
+  Rng rng(12);
+  const std::size_t n = std::size_t{1} << 18;
+  SolveRequest request;
+  request.request_id = 5;
+  request.problem = "daxpy";
+  request.args = {dsl::DataObject(2.0), dsl::DataObject(linalg::random_vector(n, rng)),
+                  dsl::DataObject(linalg::random_vector(n, rng))};
+  SolveResult result;
+  result.request_id = 5;
+  result.error_message = "";
+  result.outputs = {dsl::DataObject(linalg::random_vector(n, rng))};
+  result.migrated_host = "10.0.0.2";
+
+  for (const std::size_t prefix : {std::size_t{0}, std::size_t{13}}) {
+    SCOPED_TRACE(prefix);
+    serial::Encoder req_enc;
+    for (std::size_t i = 0; i < prefix; ++i) req_enc.put_u8(0xee);
+    request.encode(req_enc);
+    EXPECT_EQ(req_enc.bytes().capacity(), req_enc.size());
+    EXPECT_EQ(req_enc.size(), prefix + 8 + 4 + request.problem.size() +
+                                  dsl::args_byte_size(request.args) + 8 + 8 + 8 + 1);
+
+    serial::Encoder res_enc;
+    for (std::size_t i = 0; i < prefix; ++i) res_enc.put_u8(0xee);
+    result.encode(res_enc);
+    EXPECT_EQ(res_enc.bytes().capacity(), res_enc.size());
+  }
+
+  // With the buffer reserved up front, encoding never moves it.
+  serial::Encoder enc;
+  enc.reserve(encode_msg(request).size());
+  const auto* data = enc.bytes().data();
+  const std::size_t capacity = enc.bytes().capacity();
+  request.encode(enc);
+  EXPECT_EQ(enc.bytes().data(), data);
+  EXPECT_EQ(enc.bytes().capacity(), capacity);
+  EXPECT_EQ(round_trip(request).args, request.args);
+}
+
 }  // namespace
 }  // namespace ns::proto

@@ -8,8 +8,11 @@
 // out-of-order completions and deadline races without a full server.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
 #include "net/pool.hpp"
@@ -301,6 +305,271 @@ TEST(ReactorTest, TruncatedHeaderThenCloseIsHarmless) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(payload_id(reply.value().payload), 32u);
   EXPECT_TRUE(eventually_conn_count(server.reactor(), 1));
+}
+
+// ---- large frames: buffered as they arrive, charged only for what arrived ----
+
+constexpr std::size_t kLargeFrameBytes = 4u << 20;
+
+/// Echo payload of exactly `size` bytes (size >= 16) with a non-repeating
+/// body, so a misplaced byte anywhere shows up in the echoed copy.
+serial::Bytes large_payload(std::uint64_t id, std::size_t size) {
+  serial::Bytes payload = make_payload(id, 0.0, size - 16);
+  for (std::size_t i = 16; i < size; ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  return payload;
+}
+
+bool eventually_buffered(Reactor& reactor, std::size_t want, double timeout_s = 5.0) {
+  const Deadline deadline(timeout_s);
+  while (!deadline.expired()) {
+    if (reactor.buffered_bytes() == want) return true;
+    sleep_seconds(0.005);
+  }
+  return reactor.buffered_bytes() == want;
+}
+
+/// True once the peer has closed `conn` (EOF or reset on a 1-byte read).
+bool closed_by_peer(TcpConnection& conn, double timeout_s = 5.0) {
+  std::uint8_t byte = 0;
+  auto status = conn.recv_all(&byte, 1, timeout_s);
+  return !status.ok() && status.error().code == ErrorCode::kConnectionClosed;
+}
+
+// A 4 MiB frame whose header and first bytes arrive one byte at a time and
+// whose body arrives in odd-sized pieces, straddling every read-chunk
+// boundary, reassembles byte-exactly; afterwards nothing stays charged.
+TEST(ReactorLargeFrameTest, DripFedFrameArrivesIntact) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const serial::Bytes payload = large_payload(51, kLargeFrameBytes);
+  const serial::Bytes frame = serial::build_frame(kEchoReq, payload);
+
+  std::size_t off = 0;
+  for (; off < serial::kHeaderSize + 4096; ++off) {
+    ASSERT_TRUE(conn.value().send_all(frame.data() + off, 1).ok()) << off;
+    if (off % 512 == 0) sleep_seconds(0.0005);  // let the reactor see partial reads
+  }
+  const std::size_t kPieces[] = {1, 7, 4093, 65537, 65535, 3, 300001};
+  for (std::size_t i = 0; off < frame.size(); ++i) {
+    const std::size_t n = std::min(kPieces[i % std::size(kPieces)], frame.size() - off);
+    ASSERT_TRUE(conn.value().send_all(frame.data() + off, n).ok()) << off;
+    off += n;
+    if (i % 5 == 0) sleep_seconds(0.0005);
+  }
+
+  auto reply = recv_message(conn.value(), 10.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(reply.value().type, kEchoRep);
+  EXPECT_TRUE(reply.value().payload == payload) << "large payload changed in transit";
+  EXPECT_EQ(server.frames(), 1u);
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// Small and large frames written back to back on one socket are dispatched
+// in arrival order (inline handlers reply in dispatch order), including
+// frames either side of one 64 KiB read chunk.
+TEST(ReactorLargeFrameTest, FramesAroundALargeOneDispatchInOrder) {
+  ReactorConfig config;
+  config.inline_handlers = true;
+  EchoServer server(config);
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+
+  const std::vector<serial::Bytes> payloads = {
+      make_payload(1),       large_payload(2, kLargeFrameBytes),
+      make_payload(3),       large_payload(4, 64u << 10),
+      large_payload(5, (64u << 10) - 1), make_payload(6)};
+  serial::Bytes wire;
+  for (const auto& payload : payloads) {
+    const serial::Bytes frame = serial::build_frame(kEchoReq, payload);
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+  // A separate writer: the replies must be read while the request bytes
+  // are still going out, or both socket buffers fill.
+  std::thread writer([&] { EXPECT_TRUE(conn.value().send_all(wire.data(), wire.size()).ok()); });
+  for (const auto& payload : payloads) {
+    auto reply = recv_message(conn.value(), 10.0);
+    if (!reply.ok()) {
+      ADD_FAILURE() << reply.error().to_string();
+      break;
+    }
+    EXPECT_EQ(payload_id(reply.value().payload), payload_id(payload));
+    EXPECT_TRUE(reply.value().payload == payload) << payload_id(payload);
+  }
+  writer.join();
+  EXPECT_EQ(server.frames(), payloads.size());
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// A large body that fails its CRC closes the connection and is never
+// dispatched, nor is the valid frame behind it.
+TEST(ReactorLargeFrameTest, CorruptLargeFrameClosesConnection) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  serial::Bytes wire = serial::build_frame(kEchoReq, large_payload(61, kLargeFrameBytes));
+  wire[serial::kHeaderSize + kLargeFrameBytes / 2] ^= 0x01;
+  const serial::Bytes valid = serial::build_frame(kEchoReq, make_payload(62));
+  wire.insert(wire.end(), valid.begin(), valid.end());
+  (void)conn.value().send_all(wire.data(), wire.size());
+
+  EXPECT_TRUE(closed_by_peer(conn.value()));
+  sleep_seconds(0.1);
+  EXPECT_EQ(server.frames(), 0u) << "a frame was dispatched after a CRC failure";
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 0));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// An allocation fault at the "net.reactor_read" site while a large frame's
+// header arrives sheds only the connection that sent it.
+TEST(ReactorLargeFrameTest, AllocFaultOnLargeHeaderShedsOnlyThatConnection) {
+  EchoServer server;
+  auto bystander = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(bystander.ok());
+  ASSERT_TRUE(send_message(bystander.value(), kEchoReq, make_payload(70)).ok());
+  ASSERT_TRUE(recv_message(bystander.value(), 5.0).ok());
+
+  auto victim = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(victim.ok());
+  ASSERT_TRUE(eventually_conn_count(server.reactor(), 2));
+  auto& injector = mem::AllocFaultInjector::instance();
+  const std::uint64_t bad_alloc_before = metrics::counter("mem.bad_alloc_total").value();
+  injector.arm(mem::AllocFaultPlan::single("net.reactor_read", 1.0, 1));
+  const serial::Bytes frame = serial::build_frame(kEchoReq, large_payload(71, kLargeFrameBytes));
+  (void)victim.value().send_all(frame.data(), serial::kHeaderSize + 1024);
+  EXPECT_TRUE(closed_by_peer(victim.value()));
+  EXPECT_EQ(injector.triggered_count(), 1u);
+  injector.disarm_all();
+  EXPECT_EQ(metrics::counter("mem.bad_alloc_total").value(), bad_alloc_before + 1);
+
+  // The bystander's connection survived and still round-trips.
+  ASSERT_TRUE(send_message(bystander.value(), kEchoReq, make_payload(72)).ok());
+  auto reply = recv_message(bystander.value(), 5.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(payload_id(reply.value().payload), 72u);
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 1));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+  EXPECT_EQ(server.frames(), 2u);
+}
+
+// A large frame that stalls mid-body dies by the progress deadline, however
+// steadily it drips: body progress does not refresh the clock.
+TEST(ReactorLargeFrameTest, StalledLargeFrameHitsProgressDeadline) {
+  ReactorConfig config;
+  config.guard.frame_progress_timeout_s = 0.3;
+  EchoServer server(config);
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const std::uint64_t kills_before = metrics::counter("net.guard.progress_kill_total").value();
+  const serial::Bytes frame =
+      serial::build_frame(kEchoReq, large_payload(80, kLargeFrameBytes));
+  ASSERT_TRUE(conn.value().send_all(frame.data(), serial::kHeaderSize + (200u << 10)).ok());
+
+  std::size_t off = serial::kHeaderSize + (200u << 10);
+  const Stopwatch watch;
+  bool killed = false;
+  while (watch.elapsed() < 5.0) {
+    if (!conn.value().send_all(frame.data() + off, 1).ok()) {
+      killed = true;
+      break;
+    }
+    ++off;
+    if (conn.value().wait_readable(0.05).ok()) {
+      killed = closed_by_peer(conn.value(), 0.5);
+      break;
+    }
+  }
+  EXPECT_TRUE(killed) << "a dripping large frame outlived the progress deadline";
+  EXPECT_GT(metrics::counter("net.guard.progress_kill_total").value(), kills_before);
+  EXPECT_EQ(server.frames(), 0u);
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 0));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// Bytes of a large frame are charged to the buffer budget as they arrive
+// and all released when the peer closes mid-frame.
+TEST(ReactorLargeFrameTest, PartialLargeFrameIsChargedThenReleasedOnClose) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const serial::Bytes frame =
+      serial::build_frame(kEchoReq, large_payload(90, kLargeFrameBytes));
+  const std::size_t sent = serial::kHeaderSize + (1u << 20) + 3;
+  ASSERT_TRUE(conn.value().send_all(frame.data(), sent).ok());
+  EXPECT_TRUE(eventually_buffered(server.reactor(), sent))
+      << "buffered " << server.reactor().buffered_bytes() << " of " << sent;
+  conn.value().close();
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 0));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+  EXPECT_EQ(server.frames(), 0u);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int got = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  return got == 2 ? resident_pages * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) : 0;
+}
+
+// Headers that each claim a large (within-cap) payload cost only the bytes
+// that actually arrived: those are what the budgets see, and nothing is
+// allocated for the claim. The global budget then sheds the connection
+// whose buffered body pushes the total over the ceiling, and no other.
+TEST(ReactorLargeFrameTest, LargeClaimsHoldOnlyWhatArrivedAndGlobalBudgetSheds) {
+  constexpr std::size_t kClaim = 64u << 20;    // per header; under the 1 GiB cap
+  constexpr std::size_t kSent = 256u << 10;    // body bytes each peer sends
+  constexpr std::size_t kConns = 4;
+  ReactorConfig config;
+  config.guard.max_total_buffer_bytes = 2u << 20;
+  EchoServer server(config);
+  const std::uint64_t sheds_before = metrics::counter("net.guard.global_overflow_total").value();
+
+  const serial::Bytes body = large_payload(95, 2u << 20);
+  std::uint8_t header[serial::kHeaderSize];
+  serial::encode_header({.type = kEchoReq, .length = static_cast<std::uint32_t>(kClaim)}, header);
+
+  const std::size_t rss_before = resident_bytes();
+  std::vector<TcpConnection> conns;
+  for (std::size_t i = 0; i < kConns; ++i) {
+    auto conn = TcpConnection::connect(server.endpoint());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.value().send_all(header, sizeof header).ok());
+    ASSERT_TRUE(conn.value().send_all(body.data(), kSent).ok());
+    conns.push_back(std::move(conn).value());
+  }
+  const std::size_t held = serial::kHeaderSize + kSent;
+  ASSERT_TRUE(eventually_buffered(server.reactor(), kConns * held))
+      << "buffered " << server.reactor().buffered_bytes() << " of " << kConns * held;
+  EXPECT_LT(resident_bytes(), rss_before + (32u << 20))
+      << "claims of " << kConns << " x " << (kClaim >> 20) << " MiB were allocated up front";
+
+  // One peer sends 1.5 MiB more of its body: the total passes the 2 MiB
+  // ceiling, and that peer, now the largest, is the one shed.
+  TcpConnection& hog = conns.front();
+  const std::uint8_t* more = body.data() + kSent;
+  ASSERT_TRUE(hog.send_all(more, 3u << 19).ok());
+  bool shed = false;
+  for (std::size_t i = 0; i < 200 && !shed; ++i) {
+    // The budget is checked when the next bytes arrive.
+    if (!hog.send_all(more + (3u << 19) + i, 1).ok()) break;
+    shed = hog.wait_readable(0.02).ok();
+  }
+  EXPECT_TRUE(closed_by_peer(hog));
+  EXPECT_GT(metrics::counter("net.guard.global_overflow_total").value(), sheds_before);
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), kConns - 1));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), (kConns - 1) * held));
+
+  for (auto& conn : conns) conn.close();
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 0));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+  EXPECT_EQ(server.frames(), 0u);
 }
 
 // ---- scatter-gather sends ----
