@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -76,6 +77,17 @@ class DataObject {
                linalg::CsrMatrix>
       value_;
 };
+
+/// Build an argument list by moving each value in. A braced
+/// `std::vector<DataObject>{...}` copies every element out of its
+/// initializer_list, which for a vector or matrix result is the whole result.
+template <class... Values>
+std::vector<DataObject> make_args(Values&&... values) {
+  std::vector<DataObject> args;
+  args.reserve(sizeof...(Values));
+  (args.emplace_back(std::forward<Values>(values)), ...);
+  return args;
+}
 
 /// Encode/decode a whole argument list.
 void encode_args(serial::Encoder& enc, const std::vector<DataObject>& args);

@@ -12,6 +12,7 @@
 #include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
+#include "serial/crc32.hpp"
 #include "serial/frame.hpp"
 
 namespace ns::net {
@@ -378,6 +379,9 @@ void MuxChannel::reader_loop() {
                         "allocation failed buffering mux frame"));
       return;
     }
+    // The CRC folds in each piece while it is still in cache, so a complete
+    // body needs no second pass.
+    std::uint32_t crc = serial::frame_crc_begin(msg.type, header.value().length);
     std::size_t got = 0;
     while (got < msg.payload.size()) {
       const std::size_t chunk = std::min<std::size_t>(64 * 1024, msg.payload.size() - got);
@@ -387,10 +391,11 @@ void MuxChannel::reader_loop() {
         poison(body_read.error());
         return;
       }
+      crc = serial::crc32_update(crc, msg.payload.data() + got, chunk);
       got += chunk;
     }
-    if (auto crc = serial::check_payload(header.value(), msg.payload); !crc.ok()) {
-      poison(crc.error());
+    if (auto checked = serial::check_frame_crc(header.value(), crc); !checked.ok()) {
+      poison(checked.error());
       return;
     }
 

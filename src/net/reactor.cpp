@@ -19,6 +19,7 @@
 #include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
+#include "serial/crc32.hpp"
 
 namespace ns::net {
 
@@ -132,7 +133,7 @@ Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkSh
     // handlers keep replying would otherwise grow wrq_ without bound. Drop
     // the connection instead — the queued replies are undeliverable anyway.
     if (wr_bytes_ + total > reactor_->conn_budget_) {
-      metrics::counter("net.guard.conn_overflow_total").inc();
+      reactor_->metrics_.conn_overflow.inc();
       reactor_->track_buffered(*this, -static_cast<std::ptrdiff_t>(wr_bytes_));
       wrq_.clear();
       wr_bytes_ = 0;
@@ -247,6 +248,18 @@ void ReactorConn::close() {
 }
 
 // ---- Reactor ----
+
+Reactor::Metrics::Metrics()
+    : accept_errors(metrics::counter("net.guard.accept_errors_total")),
+      accept_shed(metrics::counter("net.guard.accept_shed_total")),
+      evicted(metrics::counter("net.guard.evicted_total")),
+      oversized(metrics::counter("net.guard.oversized_total")),
+      conn_overflow(metrics::counter("net.guard.conn_overflow_total")),
+      global_overflow(metrics::counter("net.guard.global_overflow_total")),
+      progress_kill(metrics::counter("net.guard.progress_kill_total")),
+      bad_alloc(metrics::counter("mem.bad_alloc_total")),
+      buffered_bytes(metrics::gauge("net.guard.buffered_bytes")),
+      connections(metrics::gauge("net.guard.connections")) {}
 
 Status Reactor::start(TcpListener listener, MessageHandler handler, ReactorConfig config) {
   if (running_.load()) return make_error(ErrorCode::kInternal, "reactor already running");
@@ -488,7 +501,7 @@ void Reactor::handle_accept() {
       const int err = errno;
       if (err == EAGAIN || err == EWOULDBLOCK) return;  // backlog drained
       if (err == EINTR) continue;
-      metrics::counter("net.guard.accept_errors_total").inc();
+      metrics_.accept_errors.inc();
       // The dialer gave up between SYN and accept — their problem, next.
       if (err == ECONNABORTED) continue;
       if (err == EMFILE || err == ENFILE) {
@@ -502,7 +515,7 @@ void Reactor::handle_accept() {
             ::accept4(listener_.native_handle(), nullptr, nullptr, SOCK_CLOEXEC);
         if (victim >= 0) {
           ::close(victim);
-          metrics::counter("net.guard.accept_shed_total").inc();
+          metrics_.accept_shed.inc();
         }
         reserve_fd_ = FdHandle(::open("/dev/null", O_RDONLY | O_CLOEXEC));
         if (victim < 0 || --emfile_shed_budget <= 0) return;
@@ -556,35 +569,64 @@ void Reactor::handle_accept() {
 }
 
 void Reactor::handle_readable(const ReactorConnPtr& conn) {
-  if (conn->closing_.load(std::memory_order_acquire)) return;
+  ReactorConn& c = *conn;
+  if (c.closing_.load(std::memory_order_acquire)) return;
   // Process-global buffered-byte ceiling: shed the largest-buffered
   // connection(s) before buffering more. This connection may be the victim.
   if (total_buffered_.load(std::memory_order_relaxed) > config_.guard.max_total_buffer_bytes) {
     enforce_global_budget();
-    if (conn->closing_.load(std::memory_order_acquire)) return;
+    if (c.closing_.load(std::memory_order_acquire)) return;
   }
   std::size_t read_total = 0;
   bool eof = false;
-  while (read_total < kMaxReadPerEvent) {
-    const std::size_t old_size = conn->rdbuf_.size();
-    try {
-      mem::alloc_trip("net.reactor_read");
-      conn->rdbuf_.resize(old_size + kReadChunk);
-    } catch (const std::bad_alloc&) {
-      // Growing one connection's read buffer failed: shed that connection,
-      // never the daemon. The loop thread must not unwind through epoll.
-      metrics::counter("mem.bad_alloc_total").inc();
-      eof = true;
-      break;
+  while (read_total < kMaxReadPerEvent && !c.closing_.load(std::memory_order_acquire)) {
+    // A direct frame's body lands in its payload, never past its end, so
+    // the bytes behind it go to rdbuf_ once it is complete.
+    std::uint8_t* dst;
+    std::size_t want;
+    if (c.direct_) {
+      ReactorConn::DirectFrame& d = *c.direct_;
+      if (d.msg.payload.size() == d.got) {
+        // Zero-fill room no further ahead than what has already arrived
+        // (and is charged), and at least one read chunk. The capacity is
+        // reserved, so this never reallocates.
+        const std::size_t ahead = std::clamp(d.got, kReadChunk, kMaxReadPerEvent);
+        d.msg.payload.resize(std::min<std::size_t>(d.header.length, d.got + ahead));
+      }
+      dst = d.msg.payload.data() + d.got;
+      want = d.msg.payload.size() - d.got;
+    } else {
+      if (!reserve_read_space(c)) {
+        // Growing one connection's read buffer failed: shed that
+        // connection, never the daemon. The loop thread must not unwind
+        // through epoll.
+        metrics_.bad_alloc.inc();
+        eof = true;
+        break;
+      }
+      dst = c.rdbuf_.data() + c.rd_end_;
+      want = c.rdbuf_.size() - c.rd_end_;
     }
-    const ssize_t n = ::recv(conn->fd_, conn->rdbuf_.data() + old_size, kReadChunk, 0);
+    want = std::min(want, kMaxReadPerEvent - read_total);
+    const ssize_t n = ::recv(c.fd_, dst, want, 0);
     if (n > 0) {
-      conn->rdbuf_.resize(old_size + static_cast<std::size_t>(n));
-      read_total += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < kReadChunk) break;
+      const auto got = static_cast<std::size_t>(n);
+      read_total += got;
+      track_buffered(c, static_cast<std::ptrdiff_t>(got));
+      if (c.direct_) {
+        // Fold the CRC in while the bytes are still in cache: a complete
+        // frame dispatches with no second pass over its body.
+        ReactorConn::DirectFrame& d = *c.direct_;
+        d.crc = serial::crc32_update(d.crc, dst, got);
+        d.got += got;
+        if (d.got == d.header.length && !finish_direct(conn)) break;
+      } else {
+        c.rd_end_ += got;
+        drain_frames(conn);
+      }
+      if (got < want) break;  // socket drained
       continue;
     }
-    conn->rdbuf_.resize(old_size);
     if (n == 0) {
       eof = true;
       break;
@@ -594,19 +636,33 @@ void Reactor::handle_readable(const ReactorConnPtr& conn) {
     eof = true;  // hard error: treat as peer gone
     break;
   }
-  if (read_total > 0) {
-    track_buffered(*conn, static_cast<std::ptrdiff_t>(read_total));
-    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-    drain_frames(conn);
-  }
+  if (read_total > 0) c.last_activity_.store(now_seconds(), std::memory_order_relaxed);
   if (eof) finish_close(conn);
 }
 
+bool Reactor::reserve_read_space(ReactorConn& c) {
+  if (c.rdbuf_.size() - c.rd_end_ >= kReadChunk) return true;
+  // Compact: move the partial frame to the front instead of growing.
+  if (c.rd_consumed_ > 0) {
+    std::memmove(c.rdbuf_.data(), c.rdbuf_.data() + c.rd_consumed_, c.rd_end_ - c.rd_consumed_);
+    c.rd_end_ -= c.rd_consumed_;
+    c.rd_consumed_ = 0;
+    if (c.rdbuf_.size() - c.rd_end_ >= kReadChunk) return true;
+  }
+  try {
+    mem::alloc_trip("net.reactor_read");
+    c.rdbuf_.resize(c.rd_end_ + kReadChunk);
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  return true;
+}
+
 void Reactor::drain_frames(const ReactorConnPtr& conn) {
-  auto& buf = conn->rdbuf_;
-  std::size_t& consumed = conn->rd_consumed_;
-  while (buf.size() - consumed >= serial::kHeaderSize) {
-    auto header = serial::decode_header(buf.data() + consumed);
+  ReactorConn& c = *conn;
+  while (c.rd_end_ - c.rd_consumed_ >= serial::kHeaderSize) {
+    const std::uint8_t* frame = c.rdbuf_.data() + c.rd_consumed_;
+    auto header = serial::decode_header(frame);
     if (!header.ok()) {
       // Protocol violation: drop the connection, exactly like the old
       // blocking recv_message path.
@@ -617,62 +673,106 @@ void Reactor::drain_frames(const ReactorConnPtr& conn) {
       // Role frame cap, enforced at header-decode time: the giant payload a
       // hostile header claims is rejected before a single byte of it is
       // buffered or allocated.
-      metrics::counter("net.guard.oversized_total").inc();
+      metrics_.oversized.inc();
       finish_close(conn);
       return;
     }
     const std::size_t frame_len = serial::kHeaderSize + header.value().length;
-    if (buf.size() - consumed < frame_len) break;  // frame split across reads
+    if (c.rd_end_ - c.rd_consumed_ < frame_len) {
+      // Frame split across reads: a large one continues straight into its
+      // payload; anything smaller accumulates here.
+      if (header.value().length >= kDirectFrameBytes) start_direct(conn, header.value());
+      break;
+    }
 
     Message msg;
     msg.type = header.value().type;
-    msg.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(consumed + serial::kHeaderSize),
-                       buf.begin() + static_cast<std::ptrdiff_t>(consumed + frame_len));
-    consumed += frame_len;
-    track_buffered(*conn, -static_cast<std::ptrdiff_t>(frame_len));
+    msg.payload.assign(frame + serial::kHeaderSize, frame + frame_len);
+    c.rd_consumed_ += frame_len;
+    track_buffered(c, -static_cast<std::ptrdiff_t>(frame_len));
     if (!serial::check_payload(header.value(), msg.payload).ok()) {
       finish_close(conn);
       return;
     }
-    conn->active_handlers_.fetch_add(1, std::memory_order_acq_rel);
-    if (config_.inline_handlers) {
-      // Loop-thread dispatch for short non-blocking handlers: saves the
-      // wake-a-worker and reply-wakeup context switches per request. The
-      // send fast path still writes directly from here.
-      const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
-      conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!keep) {
-        conn->close();
-        return;
-      }
-      continue;
-    }
-    const bool submitted = pool_.submit([this, conn, msg = std::move(msg)]() mutable {
-      const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
-      conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-      if (!keep) conn->close();
-    });
-    if (!submitted) {
-      conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-      finish_close(conn);
-      return;
-    }
+    if (!dispatch(conn, std::move(msg))) return;
   }
-  // Compact the consumed prefix once it dominates the buffer.
-  if (consumed > 0 && (consumed >= buf.size() || consumed > 256 * 1024)) {
-    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(consumed));
-    consumed = 0;
-  }
-  // Progress deadline bookkeeping: a trailing partial frame keeps (or
-  // starts) the clock; an empty buffer clears it. The start time is never
-  // refreshed by mere drip progress — that is what defeats a slowloris.
-  if (buf.size() - consumed > 0) {
-    if (conn->frame_start_ == 0.0) conn->frame_start_ = now_seconds();
+  if (c.closing_.load(std::memory_order_acquire)) return;
+  if (c.rd_consumed_ == c.rd_end_) c.rd_consumed_ = c.rd_end_ = 0;
+  // Progress deadline bookkeeping: a trailing partial frame (accumulating
+  // or direct) keeps (or starts) the clock; nothing pending clears it. The
+  // start time is never refreshed by mere drip progress — that is what
+  // defeats a slowloris.
+  if (c.rd_end_ > c.rd_consumed_ || c.direct_) {
+    if (c.frame_start_ == 0.0) c.frame_start_ = now_seconds();
   } else {
-    conn->frame_start_ = 0.0;
+    c.frame_start_ = 0.0;
   }
+}
+
+void Reactor::start_direct(const ReactorConnPtr& conn, const serial::FrameHeader& header) {
+  ReactorConn& c = *conn;
+  ReactorConn::DirectFrame d;
+  try {
+    mem::alloc_trip("net.reactor_read");
+    // Address space only: pages are touched as the body arrives, so the
+    // frame holds no more memory than it has been charged for.
+    d.msg.payload.reserve(header.length);
+  } catch (const std::bad_alloc&) {
+    metrics_.bad_alloc.inc();
+    finish_close(conn);
+    return;
+  }
+  // The body bytes already here move into the payload; they stay charged.
+  const std::uint8_t* body = c.rdbuf_.data() + c.rd_consumed_ + serial::kHeaderSize;
+  d.got = c.rd_end_ - c.rd_consumed_ - serial::kHeaderSize;
+  d.msg.payload.assign(body, body + d.got);
+  d.msg.type = header.type;
+  d.header = header;
+  d.crc = serial::crc32_update(serial::frame_crc_begin(header.type, header.length), body, d.got);
+  c.rd_consumed_ = c.rd_end_;
+  c.direct_ = std::move(d);
+}
+
+bool Reactor::finish_direct(const ReactorConnPtr& conn) {
+  ReactorConn& c = *conn;
+  ReactorConn::DirectFrame d = std::move(*c.direct_);
+  c.direct_.reset();
+  c.frame_start_ = 0.0;
+  track_buffered(c, -static_cast<std::ptrdiff_t>(serial::kHeaderSize + d.got));
+  if (!serial::check_frame_crc(d.header, d.crc).ok()) {
+    finish_close(conn);
+    return false;
+  }
+  return dispatch(conn, std::move(d.msg));
+}
+
+bool Reactor::dispatch(const ReactorConnPtr& conn, Message&& msg) {
+  conn->active_handlers_.fetch_add(1, std::memory_order_acq_rel);
+  if (config_.inline_handlers) {
+    // Loop-thread dispatch for short non-blocking handlers: saves the
+    // wake-a-worker and reply-wakeup context switches per request. The
+    // send fast path still writes directly from here.
+    const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
+    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
+    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!keep) {
+      conn->close();
+      return false;
+    }
+    return true;
+  }
+  const bool submitted = pool_.submit([this, conn, msg = std::move(msg)]() mutable {
+    const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
+    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
+    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+    if (!keep) conn->close();
+  });
+  if (!submitted) {
+    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+    finish_close(conn);
+    return false;
+  }
+  return true;
 }
 
 double Reactor::flush_writes(const ReactorConnPtr& conn) {
@@ -766,14 +866,17 @@ void Reactor::finish_close(const ReactorConnPtr& conn) {
       ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, conn->fd_, nullptr);
       ::close(conn->fd_);
       conn->fd_ = -1;
-      // Return this connection's buffered bytes to the global budget. Only
-      // on the first close (fd guard): finish_close is idempotent.
-      const std::size_t rd_pending = conn->rdbuf_.size() - conn->rd_consumed_;
+      // Return this connection's buffered bytes, including what has arrived
+      // of a direct frame, to the global budget. Only on the first close
+      // (fd guard): finish_close is idempotent.
+      std::size_t rd_pending = conn->rd_end_ - conn->rd_consumed_;
+      if (conn->direct_) rd_pending += serial::kHeaderSize + conn->direct_->got;
       track_buffered(*conn, -static_cast<std::ptrdiff_t>(conn->wr_bytes_ + rd_pending));
       conn->wr_bytes_ = 0;
-      conn->rdbuf_.clear();
-      conn->rdbuf_.shrink_to_fit();
+      serial::Bytes().swap(conn->rdbuf_);
       conn->rd_consumed_ = 0;
+      conn->rd_end_ = 0;
+      conn->direct_.reset();
     }
     conn->wrq_.clear();
   }
@@ -809,7 +912,7 @@ void Reactor::shed_accepted_fd(int fd) {
       kTransportBusyType, encode_busy_payload(config_.guard.retry_after_s));
   (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
   ::close(fd);
-  metrics::counter("net.guard.accept_shed_total").inc();
+  metrics_.accept_shed.inc();
 }
 
 bool Reactor::evict_lru_idle() {
@@ -834,7 +937,7 @@ bool Reactor::evict_lru_idle() {
   }
   if (!victim) return false;
   finish_close(victim);
-  metrics::counter("net.guard.evicted_total").inc();
+  metrics_.evicted.inc();
   return true;
 }
 
@@ -859,7 +962,7 @@ void Reactor::enforce_global_budget() {
       }
     }
     if (!victim) return;  // nothing left to shed
-    metrics::counter("net.guard.global_overflow_total").inc();
+    metrics_.global_overflow.inc();
     finish_close(victim);
   }
 }
@@ -893,14 +996,14 @@ void Reactor::sweep_guard(double now) {
       if (now - conn->last_write_progress_ > timeout) stalled.push_back(conn);
     }
     for (const auto& conn : stalled) {
-      metrics::counter("net.guard.progress_kill_total").inc();
+      metrics_.progress_kill.inc();
       finish_close(conn);
     }
   }
   enforce_global_budget();
-  metrics::gauge("net.guard.buffered_bytes")
-      .set(static_cast<double>(total_buffered_.load(std::memory_order_relaxed)));
-  metrics::gauge("net.guard.connections").set(static_cast<double>(connection_count()));
+  metrics_.buffered_bytes.set(
+      static_cast<double>(total_buffered_.load(std::memory_order_relaxed)));
+  metrics_.connections.set(static_cast<double>(connection_count()));
 }
 
 void Reactor::sweep_idle(double now) {

@@ -38,10 +38,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "net/shaped_link.hpp"
 #include "net/socket.hpp"
 #include "net/task_pool.hpp"
@@ -51,6 +53,12 @@
 namespace ns::net {
 
 class Reactor;
+
+/// Frames whose payload is at least this large are received straight into
+/// their Message::payload once the header has arrived, instead of
+/// accumulating in the connection's read buffer and being copied out whole.
+/// Smaller frames are not worth a separate allocation.
+inline constexpr std::size_t kDirectFrameBytes = 256 * 1024;
 
 /// Resource-governance budgets for one reactor endpoint. Every limit exists
 /// because a hostile (or merely broken) peer can otherwise spend the
@@ -138,9 +146,22 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   Endpoint peer_;
   Endpoint local_;
 
-  // Read side: reactor thread only.
+  /// A large frame being received straight into its payload. The payload's
+  /// capacity is reserved at the claimed length, but like rdbuf_ it is
+  /// filled, and charged to the budgets, only as bytes arrive.
+  struct DirectFrame {
+    serial::FrameHeader header;
+    Message msg;
+    std::size_t got = 0;     // payload bytes received so far
+    std::uint32_t crc = 0;   // running frame CRC over those bytes
+  };
+
+  // Read side: reactor thread only. rdbuf_ stays at its high-water size;
+  // bytes [rd_consumed_, rd_end_) have arrived but are not yet framed.
   serial::Bytes rdbuf_;
   std::size_t rd_consumed_ = 0;
+  std::size_t rd_end_ = 0;
+  std::optional<DirectFrame> direct_;
   /// When the oldest unconsumed (partial) frame started arriving; 0 = no
   /// partial frame pending. Deliberately NOT refreshed on drip progress —
   /// refreshing is exactly what a slowloris exploits. Reactor thread only.
@@ -219,10 +240,38 @@ class Reactor {
  private:
   friend class ReactorConn;
 
+  /// Registry handles resolved once, at construction; the read path and the
+  /// guard sweep never look a metric up by name.
+  struct Metrics {
+    Metrics();
+    metrics::Counter& accept_errors;
+    metrics::Counter& accept_shed;
+    metrics::Counter& evicted;
+    metrics::Counter& oversized;
+    metrics::Counter& conn_overflow;
+    metrics::Counter& global_overflow;
+    metrics::Counter& progress_kill;
+    metrics::Counter& bad_alloc;
+    metrics::Gauge& buffered_bytes;
+    metrics::Gauge& connections;
+  };
+
   void loop();
   void handle_accept();
   void handle_readable(const ReactorConnPtr& conn);
+  /// Make room for the next recv at the end of rdbuf_; false if growing it
+  /// failed to allocate.
+  bool reserve_read_space(ReactorConn& conn);
   void drain_frames(const ReactorConnPtr& conn);
+  /// Switch the frame whose header starts the unframed bytes to direct
+  /// receive: reserve its payload and move the body bytes already here.
+  void start_direct(const ReactorConnPtr& conn, const serial::FrameHeader& header);
+  /// A direct frame's last byte arrived: release its charge, check its CRC
+  /// and dispatch it. False if the connection is closed.
+  bool finish_direct(const ReactorConnPtr& conn);
+  /// Hand one CRC-valid frame to the handler (inline or on the pool). False
+  /// if the connection is closed or closing and reading must stop.
+  bool dispatch(const ReactorConnPtr& conn, Message&& msg);
   /// Flush as much of the write queue as the socket and pacing allow.
   /// Returns the earliest not_before still pending (0 = none).
   double flush_writes(const ReactorConnPtr& conn);
@@ -242,6 +291,7 @@ class Reactor {
   void shed_accepted_fd(int fd);
   void track_buffered(ReactorConn& conn, std::ptrdiff_t delta);
 
+  Metrics metrics_;
   TcpListener listener_;
   MessageHandler handler_;
   ReactorConfig config_;

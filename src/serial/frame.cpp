@@ -4,18 +4,21 @@
 
 namespace ns::serial {
 
-namespace {
-
-// CRC over everything the magic/version checks don't already pin down: the
-// type and length fields (little-endian, as on the wire) plus the payload.
-std::uint32_t frame_crc(std::uint16_t type, std::uint32_t length, const Bytes& payload) {
+// The CRC covers everything the magic/version checks don't already pin
+// down: the type and length fields (little-endian, as on the wire) plus the
+// payload.
+std::uint32_t frame_crc_begin(std::uint16_t type, std::uint32_t length) {
   const std::uint8_t meta[6] = {
       static_cast<std::uint8_t>(type),         static_cast<std::uint8_t>(type >> 8),
       static_cast<std::uint8_t>(length),       static_cast<std::uint8_t>(length >> 8),
       static_cast<std::uint8_t>(length >> 16), static_cast<std::uint8_t>(length >> 24)};
-  std::uint32_t crc = crc32_update(kCrc32Init, meta, sizeof(meta));
-  crc = crc32_update(crc, payload.data(), payload.size());
-  return crc32_final(crc);
+  return crc32_update(kCrc32Init, meta, sizeof(meta));
+}
+
+namespace {
+
+std::uint32_t frame_crc(std::uint16_t type, std::uint32_t length, const Bytes& payload) {
+  return crc32_final(crc32_update(frame_crc_begin(type, length), payload.data(), payload.size()));
 }
 
 }  // namespace
@@ -89,7 +92,12 @@ Status check_payload(const FrameHeader& header, const Bytes& payload) {
   if (payload.size() != header.length) {
     return make_error(ErrorCode::kProtocol, "payload length mismatch");
   }
-  if (frame_crc(header.type, header.length, payload) != header.crc) {
+  return check_frame_crc(header, crc32_update(frame_crc_begin(header.type, header.length),
+                                              payload.data(), payload.size()));
+}
+
+Status check_frame_crc(const FrameHeader& header, std::uint32_t running) {
+  if (crc32_final(running) != header.crc) {
     // Retryable: the header framed correctly, so this is in-flight damage
     // (or an injected corruption fault), not a framing bug.
     return make_error(ErrorCode::kCorruptFrame, "frame CRC mismatch");

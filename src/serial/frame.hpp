@@ -61,4 +61,14 @@ void encode_frame_header(std::uint16_t type, const Bytes& payload,
 /// Validate a payload against its header's CRC.
 Status check_payload(const FrameHeader& header, const Bytes& payload);
 
+/// Running frame CRC over just the type and length fields. A receiver that
+/// fills a payload piece by piece folds each piece in with crc32_update as
+/// it arrives and checks the total with check_frame_crc, so a completed
+/// frame needs no second pass over its body.
+std::uint32_t frame_crc_begin(std::uint16_t type, std::uint32_t length);
+
+/// Check a running CRC from frame_crc_begin (plus the folded payload)
+/// against the header; fails like check_payload on a mismatch.
+Status check_frame_crc(const FrameHeader& header, std::uint32_t running);
+
 }  // namespace ns::serial

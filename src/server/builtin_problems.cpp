@@ -28,6 +28,7 @@ using dsl::ArgSpec;
 using dsl::ComplexityModel;
 using dsl::DataObject;
 using dsl::DataType;
+using dsl::make_args;
 using dsl::ProblemSpec;
 
 namespace {
@@ -59,7 +60,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         if (x.size() != y.size()) {
           return make_error(ErrorCode::kBadArguments, "ddot: length mismatch");
         }
-        return Args{DataObject(linalg::dot(x, y))};
+        return make_args(linalg::dot(x, y));
       });
 
   registry.add(
@@ -73,7 +74,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
           return make_error(ErrorCode::kBadArguments, "daxpy: length mismatch");
         }
         linalg::axpy(args[0].as_double(), x, y);
-        return Args{DataObject(std::move(y))};
+        return make_args(std::move(y));
       });
 
   registry.add(
@@ -88,7 +89,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         }
         linalg::Vector y(a.rows(), 0.0);
         linalg::gemv(1.0, a, x, 0.0, y);
-        return Args{DataObject(std::move(y))};
+        return make_args(std::move(y));
       });
 
   registry.add(
@@ -101,7 +102,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         if (a.cols() != b.rows()) {
           return make_error(ErrorCode::kBadArguments, "dgemm: dimension mismatch");
         }
-        return Args{DataObject(linalg::matmul(a, b))};
+        return make_args(linalg::matmul(a, b));
       });
 
   // ---- LAPACK-style dense solvers ----
@@ -117,7 +118,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         }
         auto x = linalg::dgesv(a, b);
         if (!x.ok()) return x.error();
-        return Args{DataObject(std::move(x).value())};
+        return make_args(std::move(x).value());
       });
 
   registry.add(
@@ -132,7 +133,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         }
         auto x = linalg::dposv(a, b);
         if (!x.ok()) return x.error();
-        return Args{DataObject(std::move(x).value())};
+        return make_args(std::move(x).value());
       });
 
   registry.add(
@@ -147,7 +148,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         }
         auto x = linalg::dgels(a, b);
         if (!x.ok()) return x.error();
-        return Args{DataObject(std::move(x).value())};
+        return make_args(std::move(x).value());
       });
 
   registry.add(
@@ -156,7 +157,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto eig = linalg::jacobi_eigen(args[0].as_matrix());
         if (!eig.ok()) return eig.error();
-        return Args{DataObject(std::move(eig.value().values))};
+        return make_args(std::move(eig.value().values));
       });
 
   registry.add(
@@ -167,8 +168,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         Rng rng(0x5eed);  // deterministic start vector: same answer every run
         auto res = linalg::power_iteration(args[0].as_matrix(), rng);
         if (!res.ok()) return res.error();
-        return Args{DataObject(res.value().eigenvalue),
-                    DataObject(std::move(res.value().eigenvector))};
+        return make_args(res.value().eigenvalue, std::move(res.value().eigenvector));
       });
 
   registry.add(
@@ -182,7 +182,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         auto x = linalg::solve_tridiagonal(args[0].as_vector(), args[1].as_vector(),
                                            args[2].as_vector(), args[3].as_vector());
         if (!x.ok()) return x.error();
-        return Args{DataObject(std::move(x).value())};
+        return make_args(std::move(x).value());
       });
 
   // ---- ITPACK-style iterative solvers ----
@@ -198,8 +198,8 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         if (!res.value().converged) {
           return make_error(ErrorCode::kExecutionFailed, "cg did not converge");
         }
-        return Args{DataObject(std::move(res.value().x)),
-                    DataObject(static_cast<std::int64_t>(res.value().iterations))};
+        return make_args(std::move(res.value().x),
+                         static_cast<std::int64_t>(res.value().iterations));
       });
 
   registry.add(
@@ -214,8 +214,8 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         if (!res.value().converged) {
           return make_error(ErrorCode::kExecutionFailed, "jacobi did not converge");
         }
-        return Args{DataObject(std::move(res.value().x)),
-                    DataObject(static_cast<std::int64_t>(res.value().iterations))};
+        return make_args(std::move(res.value().x),
+                         static_cast<std::int64_t>(res.value().iterations));
       });
 
   registry.add(
@@ -231,8 +231,8 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         if (!res.value().converged) {
           return make_error(ErrorCode::kExecutionFailed, "sor did not converge");
         }
-        return Args{DataObject(std::move(res.value().x)),
-                    DataObject(static_cast<std::int64_t>(res.value().iterations))};
+        return make_args(std::move(res.value().x),
+                         static_cast<std::int64_t>(res.value().iterations));
       });
 
   // ---- FitPack-style fitting ----
@@ -248,7 +248,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         auto coeffs = linalg::polyfit(args[0].as_vector(), args[1].as_vector(),
                                       static_cast<std::size_t>(degree));
         if (!coeffs.ok()) return coeffs.error();
-        return Args{DataObject(std::move(coeffs).value())};
+        return make_args(std::move(coeffs).value());
       });
 
   registry.add(
@@ -261,7 +261,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
         const auto& t = args[2].as_vector();
         linalg::Vector values(t.size());
         for (std::size_t i = 0; i < t.size(); ++i) values[i] = sp.value()(t[i]);
-        return Args{DataObject(std::move(values))};
+        return make_args(std::move(values));
       });
 
   registry.add(
@@ -270,7 +270,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         linalg::Vector v = args[0].as_vector();
         std::sort(v.begin(), v.end());
-        return Args{DataObject(std::move(v))};
+        return make_args(std::move(v));
       });
 
   // ---- FFT / signal processing ----
@@ -281,8 +281,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto out = linalg::fft(args[0].as_vector(), args[1].as_vector());
         if (!out.ok()) return out.error();
-        return Args{DataObject(std::move(out.value().first)),
-                    DataObject(std::move(out.value().second))};
+        return make_args(std::move(out.value().first), std::move(out.value().second));
       });
 
   registry.add(
@@ -292,8 +291,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto out = linalg::ifft(args[0].as_vector(), args[1].as_vector());
         if (!out.ok()) return out.error();
-        return Args{DataObject(std::move(out.value().first)),
-                    DataObject(std::move(out.value().second))};
+        return make_args(std::move(out.value().first), std::move(out.value().second));
       });
 
   registry.add(
@@ -303,7 +301,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto out = linalg::convolve(args[0].as_vector(), args[1].as_vector());
         if (!out.ok()) return out.error();
-        return Args{DataObject(std::move(out).value())};
+        return make_args(std::move(out).value());
       });
 
   // ---- SVD / analysis ----
@@ -313,7 +311,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto sv = linalg::singular_values(args[0].as_matrix());
         if (!sv.ok()) return sv.error();
-        return Args{DataObject(std::move(sv).value())};
+        return make_args(std::move(sv).value());
       });
 
   registry.add(
@@ -322,7 +320,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto kappa = linalg::condition_number(args[0].as_matrix());
         if (!kappa.ok()) return kappa.error();
-        return Args{DataObject(kappa.value())};
+        return make_args(kappa.value());
       });
 
   registry.add(
@@ -331,7 +329,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto e = linalg::expm(args[0].as_matrix());
         if (!e.ok()) return e.error();
-        return Args{DataObject(std::move(e).value())};
+        return make_args(std::move(e).value());
       });
 
   // ---- quadrature / ODE ----
@@ -342,7 +340,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
       [](const Args& args) -> Result<Args> {
         auto integral = linalg::integrate_samples(args[0].as_vector(), args[1].as_vector());
         if (!integral.ok()) return integral.error();
-        return Args{DataObject(integral.value())};
+        return make_args(integral.value());
       });
 
   registry.add(
@@ -370,7 +368,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
             y0[2], args[4].as_double(), static_cast<std::size_t>(steps),
             static_cast<std::size_t>(stride));
         if (!traj.ok()) return traj.error();
-        return Args{DataObject(std::move(traj).value())};
+        return make_args(std::move(traj).value());
       });
 
   // ---- Synthetic workloads ----
@@ -408,7 +406,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
             counts[py * n + px] = static_cast<double>(it);
           }
         }
-        return Args{DataObject(std::move(counts))};
+        return make_args(std::move(counts));
       });
 
   // busywork(N): N Mflop of machine-independent synthetic compute,
@@ -449,7 +447,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
                                         : 0.0;
           checkpoint::tick(done, frac, [&](serial::Encoder& enc) { enc.put_u64(total); });
         }
-        return Args{DataObject(mflop)};
+        return make_args(mflop);
       });
 
   // simwork(N): like busywork but sleeps instead of spinning. Used by the
@@ -490,7 +488,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
                                         : 0.0;
           checkpoint::tick(done, frac, [&](serial::Encoder& enc) { enc.put_u64(total); });
         }
-        return Args{DataObject(mflop)};
+        return make_args(mflop);
       });
 
   // simstate(mflop, state_kb): simwork carrying a realistically-sized solver
@@ -552,7 +550,7 @@ void register_builtin_problems(dsl::ProblemRegistry& registry, double native_mfl
             enc.put_f64_array(state);
           });
         }
-        return Args{DataObject(mflop)};
+        return make_args(mflop);
       });
 }
 

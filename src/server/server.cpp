@@ -639,11 +639,11 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
                           ? job->request.deadline_s - since_receipt.elapsed()
                           : 0.0);
   auto reply = run_job(job, since_receipt);
-  if (!reply.has_value()) return false;  // stopping or crashed: no reply leaves
+  if (!reply) return false;  // stopping or crashed: no reply leaves
   return conn->send(solve_result, encode_payload(*reply), config_.link).ok();
 }
 
-std::optional<proto::SolveResult> ComputeServer::run_job(
+std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     const std::shared_ptr<ActiveJob>& job, const Stopwatch& since_receipt) {
   const proto::SolveRequest& request = job->request;
   proto::SolveResult result;
@@ -667,8 +667,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
       metrics_.rejected.inc();
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
       result.error_message = "admission control: queue full";
-      finish_job(job, result);
-      return result;
+      return finish_job(job, std::move(result));
     }
     // Per-client fair share: when quotas are on, a single client id may
     // occupy at most its fraction of the queue slots. Anonymous requests
@@ -686,8 +685,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
         metrics_.shed_quota.inc();
         result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
         result.error_message = "admission control: per-client quota exceeded";
-        finish_job(job, result);
-        return result;
+        return finish_job(job, std::move(result));
       }
     }
     // Infeasible at admission: the predicted service time alone already
@@ -709,8 +707,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
         result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
         result.error_message =
             "admission control: predicted service time exceeds deadline budget";
-        finish_job(job, result);
-        return result;
+        return finish_job(job, std::move(result));
       }
     }
     // Memory admission: the payload is charged to the governor before the
@@ -736,8 +733,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
         result.error_message =
             oversized ? "memory governor: payload + working set exceed per-job budget"
                       : "memory governor: payload does not fit the budget";
-        finish_job(job, result);
-        return result;
+        return finish_job(job, std::move(result));
       }
       if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
         governor_.charge_forced(job->payload_bytes);
@@ -815,7 +811,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
       lock.unlock();
       release_job_memory(job);
       erase_active_job(job, result.request_id);
-      return std::nullopt;
+      return nullptr;
     }
     if (job->token.cancelled()) {
       // Cancelled while queued: checked before taking the slot so a
@@ -827,8 +823,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
                          << result.request_id << " (cancelled)";
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kCancelled);
       result.error_message = "cancelled while queued";
-      finish_job(job, result);
-      return result;
+      return finish_job(job, std::move(result));
     }
     if (entry.dropped) {
       // Shed-at-dequeue: the dispatcher decided computing this job is not
@@ -842,8 +837,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
                          << result.request_id << " (" << entry.drop_reason << ")";
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
       result.error_message = entry.drop_reason;
-      finish_job(job, result);
-      return result;
+      return finish_job(job, std::move(result));
     }
     job->queued.store(false);
   }
@@ -867,8 +861,7 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
                         << reloaded.error().to_string();
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
       result.error_message = "memory governor: spill reload failed";
-      finish_job(job, result);
-      return result;
+      return finish_job(job, std::move(result));
     }
   }
   const double queue_wait = queue_watch.elapsed();
@@ -1025,10 +1018,9 @@ std::optional<proto::SolveResult> ComputeServer::run_job(
     // released (the emulated-dead server shares this address space).
     release_job_memory(job);
     erase_active_job(job, result.request_id);
-    return std::nullopt;
+    return nullptr;
   }
-  finish_job(job, result);
-  return result;
+  return finish_job(job, std::move(result));
 }
 
 double ComputeServer::current_workload() const {
@@ -1162,7 +1154,7 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
                     << replay.unfinished.size() << " unfinished job(s), "
                     << replay.completed.size() << " stored result(s)";
   for (auto& [id, result] : replay.completed) {
-    store_result(id, result);
+    store_result(id, std::make_shared<const proto::SolveResult>(std::move(result)));
   }
   const std::int64_t now_us = wall_micros();
   for (auto& recovered : replay.unfinished) {
@@ -1193,7 +1185,7 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
           rec.wall_micros = now_us;
           rec.data = encode_payload(result);
           journal_append_locked(rec);
-          store_result(id, result);
+          store_result(id, std::make_shared<const proto::SolveResult>(std::move(result)));
         }
         continue;
       }
@@ -1280,9 +1272,11 @@ void ComputeServer::journal_admit(ActiveJob& job, double deadline_remaining_s) {
   journal_append_locked(rec);
 }
 
-void ComputeServer::finish_job(const std::shared_ptr<ActiveJob>& job,
-                               const proto::SolveResult& result) {
+std::shared_ptr<const proto::SolveResult> ComputeServer::finish_job(
+    const std::shared_ptr<ActiveJob>& job, proto::SolveResult&& moved) {
   release_job_memory(job);
+  auto shared = std::make_shared<const proto::SolveResult>(std::move(moved));
+  const proto::SolveResult& result = *shared;
   {
     std::lock_guard<std::mutex> lock(journal_mu_);
     const auto code = static_cast<ErrorCode>(result.error_code);
@@ -1301,11 +1295,12 @@ void ComputeServer::finish_job(const std::shared_ptr<ActiveJob>& job,
       journal_append_locked(rec);
     }
     if (answered && (job->journaled || job->started.load())) {
-      store_result(result.request_id, result);
+      store_result(result.request_id, shared);
     }
     erase_active_job(job, result.request_id);
   }
   maybe_compact();
+  return shared;
 }
 
 namespace {
@@ -1317,21 +1312,21 @@ std::size_t stored_bytes(const proto::SolveResult& result) {
 }  // namespace
 
 void ComputeServer::store_result(std::uint64_t request_id,
-                                 const proto::SolveResult& result) {
+                                 std::shared_ptr<const proto::SolveResult> result) {
   std::lock_guard<std::mutex> lock(results_mu_);
   auto [it, inserted] = results_.try_emplace(request_id);
   if (!inserted) {
     // A re-stored id becomes the newest so the eviction below keeps it.
-    results_bytes_ -= stored_bytes(it->second);
+    results_bytes_ -= stored_bytes(*it->second);
     results_order_.erase(std::find(results_order_.begin(), results_order_.end(), request_id));
   }
   results_order_.push_back(request_id);
-  it->second = result;
-  results_bytes_ += stored_bytes(result);
+  results_bytes_ += stored_bytes(*result);
+  it->second = std::move(result);
   while (results_order_.size() > 1 && (results_order_.size() > kMaxStoredResults ||
                                        results_bytes_ > kMaxStoredResultBytes)) {
     const auto oldest = results_.find(results_order_.front());
-    results_bytes_ -= stored_bytes(oldest->second);
+    results_bytes_ -= stored_bytes(*oldest->second);
     results_.erase(oldest);
     results_order_.pop_front();
   }
@@ -1415,7 +1410,7 @@ std::vector<JournalRecord> ComputeServer::collect_live_records_locked() {
       done.type = JournalRecordType::kCompleted;
       done.request_id = id;
       done.wall_micros = now_us;
-      done.data = encode_payload(it->second);
+      done.data = encode_payload(*it->second);
       live.push_back(std::move(done));
     }
   }
@@ -1563,11 +1558,11 @@ proto::ProbeReply ComputeServer::probe_job(const proto::ProbeRequest& probe) {
   std::lock_guard<std::mutex> lock(results_mu_);
   const auto it = results_.find(probe.request_id);
   if (it == results_.end()) return reply;  // kUnknown
-  reply.state = it->second.error_code == 0 ? proto::JobState::kCompleted
-                                           : proto::JobState::kFailed;
+  reply.state = it->second->error_code == 0 ? proto::JobState::kCompleted
+                                            : proto::JobState::kFailed;
   if (probe.fetch_result) {
     reply.has_result = true;
-    reply.result = it->second;
+    reply.result = *it->second;
   }
   return reply;
 }

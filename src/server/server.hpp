@@ -28,7 +28,6 @@
 #include <utility>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -573,18 +572,21 @@ class ComputeServer {
   /// Persist the ADMITTED record and stamp the job's recovery fields.
   void journal_admit(ActiveJob& job, double deadline_remaining_s);
   /// Terminal accounting: journal the terminal record, store the result for
-  /// late probes, and drop the job from the active table.
-  void finish_job(const std::shared_ptr<ActiveJob>& job,
-                  const proto::SolveResult& result);
-  void store_result(std::uint64_t request_id, const proto::SolveResult& result);
+  /// late probes, and drop the job from the active table. Takes the result
+  /// by move and returns it shared with the store, so the reply and PROBE
+  /// read the same outputs and nothing copies them.
+  std::shared_ptr<const proto::SolveResult> finish_job(const std::shared_ptr<ActiveJob>& job,
+                                                       proto::SolveResult&& result);
+  void store_result(std::uint64_t request_id,
+                    std::shared_ptr<const proto::SolveResult> result);
   /// Rewrite the journal with only live records once it outgrows the bound.
   void maybe_compact();
   std::vector<JournalRecord> collect_live_records_locked();
   /// Admission queue + execution + terminal accounting for one registered
-  /// job. Returns the reply to send, or nullopt when the server is stopping
+  /// job. Returns the reply to send, or nullptr when the server is stopping
   /// or crashed (no reply must leave).
-  std::optional<proto::SolveResult> run_job(const std::shared_ptr<ActiveJob>& job,
-                                            const Stopwatch& since_receipt);
+  std::shared_ptr<const proto::SolveResult> run_job(const std::shared_ptr<ActiveJob>& job,
+                                                    const Stopwatch& since_receipt);
   void erase_active_job(const std::shared_ptr<ActiveJob>& job,
                         std::uint64_t request_id);
   /// PROBE: the most-advanced state known for request_id.
@@ -711,7 +713,7 @@ class ComputeServer {
   /// and by kMaxStoredResultBytes.
   static constexpr std::size_t kMaxStoredResults = 512;
   mutable std::mutex results_mu_;
-  std::map<std::uint64_t, proto::SolveResult> results_;
+  std::map<std::uint64_t, std::shared_ptr<const proto::SolveResult>> results_;
   std::deque<std::uint64_t> results_order_;
   std::size_t results_bytes_ = 0;  // Σ stored_bytes(results_)
   /// Set by crash(): suppress replies and terminal accounting so the

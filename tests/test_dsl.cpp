@@ -316,6 +316,29 @@ TEST(RegistryTest, ExecuteValidatedProblem) {
   EXPECT_DOUBLE_EQ(out.value()[0].as_double(), 42.0);
 }
 
+// make_args moves each output into the list and execute() hands the list
+// on, so a result vector reaches the caller as the same allocation the
+// executor filled: no output is copied on the way out.
+TEST(RegistryTest, OutputsMoveToTheCaller) {
+  ProblemRegistry registry;
+  ProblemSpec spec;
+  spec.name = "fill";
+  spec.inputs = {};
+  spec.outputs = {{"v", DataType::kVector}, {"n", DataType::kDouble}};
+  const double* filled = nullptr;
+  registry.add(spec, [&filled](const auto&) -> Result<std::vector<DataObject>> {
+    linalg::Vector v(1u << 16, 1.5);
+    filled = v.data();
+    return dsl::make_args(std::move(v), 2.0);
+  });
+  auto out = registry.execute("fill", {});
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  ASSERT_NE(filled, nullptr);
+  EXPECT_EQ(out.value()[0].as_vector().data(), filled) << "the result vector was copied";
+  EXPECT_EQ(out.value()[0].as_vector().size(), 1u << 16);
+  EXPECT_DOUBLE_EQ(out.value()[1].as_double(), 2.0);
+}
+
 TEST(RegistryTest, UnknownProblem) {
   ProblemRegistry registry;
   auto out = registry.execute("nope", {});

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -223,6 +224,76 @@ TEST(HostileTest, HalfOpenStormIsReaped) {
       << server.transport_connections();
 
   EXPECT_GE(legit_goodput(*cluster.value(), 10), 10);
+}
+
+// ---- header-only claims: a bare header is charged for its own bytes only ----
+
+// One header claims a payload that would take the reactor to just under its
+// hot mark, then more headers each claim 1 MiB and go silent, on a server
+// with an 8 MiB global ceiling. All are large enough to be received straight
+// into a payload, yet none is charged for more than what arrived, so the
+// accept governor never sheds a dial and legitimate calls keep flowing. The
+// progress deadline reaps every claim and the budgets return to 0.
+TEST(HostileTest, HeaderOnlyClaimsAreChargedOnlyForWhatArrived) {
+  net::GuardConfig guard;
+  guard.max_total_buffer_bytes = 8u << 20;
+  guard.frame_progress_timeout_s = 0.5;
+  const std::size_t hot_mark =
+      guard.max_total_buffer_bytes - guard.max_total_buffer_bytes / 8;
+  auto cluster = armored_cluster(guard);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto& server = cluster.value()->server(0);
+
+  const std::uint64_t shed_before = counter_value("net.guard.accept_shed_total");
+  const std::uint64_t kills_before = counter_value("net.guard.progress_kill_total");
+
+  std::vector<net::TcpConnection> claims;  // held open: only the deadline may reap them
+  auto claim = [&](std::uint32_t length) {
+    std::uint8_t header[serial::kHeaderSize];
+    serial::encode_header({.type = 1, .length = length}, header);
+    auto conn = net::TcpConnection::connect(server.endpoint());
+    if (conn.ok() && conn.value().send_all(header, sizeof header).ok()) {
+      claims.push_back(std::move(conn).value());
+    }
+  };
+  claim(static_cast<std::uint32_t>(hot_mark - serial::kHeaderSize - 1));
+  ASSERT_EQ(claims.size(), 1u);
+  ASSERT_TRUE(eventually([&] { return server.transport_buffered_bytes() >= serial::kHeaderSize; }));
+
+  std::atomic<bool> attacking{true};
+  std::thread attacker([&] {
+    const Deadline deadline(2.5);
+    while (!deadline.expired()) {
+      for (int i = 0; i < 2; ++i) claim(1u << 20);
+      sleep_seconds(0.05);
+    }
+    attacking.store(false);
+  });
+  std::size_t max_buffered = 0;
+  double max_gauge = 0.0;
+  std::thread sampler([&] {
+    while (attacking.load()) {
+      max_buffered = std::max(max_buffered, server.transport_buffered_bytes());
+      max_gauge = std::max(max_gauge, metrics::gauge("net.guard.buffered_bytes").value());
+      sleep_seconds(0.002);
+    }
+  });
+
+  sleep_seconds(0.3);  // let the claims pile up past the hot mark first
+  const int ok = legit_goodput(*cluster.value(), 20);
+  attacker.join();
+  sampler.join();
+
+  EXPECT_GT(claims.size(), 16u) << "the attack claimed less than the hot mark";
+  EXPECT_LT(max_buffered, std::size_t{1} << 20) << "a bare header was charged for its claim";
+  EXPECT_LT(max_gauge, static_cast<double>(hot_mark));
+  EXPECT_EQ(counter_value("net.guard.accept_shed_total"), shed_before)
+      << "header-only claims made the reactor shed dials";
+  EXPECT_GE(ok, 19) << "header-only claims degraded legitimate goodput";
+
+  EXPECT_TRUE(eventually([&] { return server.transport_buffered_bytes() == 0; }))
+      << "claims still charged after the deadline: " << server.transport_buffered_bytes();
+  EXPECT_GE(counter_value("net.guard.progress_kill_total"), kills_before + claims.size());
 }
 
 // ---- slow reader: a peer that never reads its replies hits the write budget --

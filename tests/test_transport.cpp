@@ -572,6 +572,141 @@ TEST(ReactorLargeFrameTest, LargeClaimsHoldOnlyWhatArrivedAndGlobalBudgetSheds) 
   EXPECT_EQ(server.frames(), 0u);
 }
 
+// ---- direct receive: the threshold, pipelining, CRC and allocation faults ----
+
+/// Send `frame`'s header split across two writes, the second carrying the
+/// first `body_first` body bytes too. The second write waits until the
+/// reactor has taken in the first, so the header reaches it in two reads.
+void send_split_header(TcpConnection& conn, Reactor& reactor, const serial::Bytes& frame,
+                       std::size_t body_first) {
+  constexpr std::size_t kFirst = 7;
+  ASSERT_TRUE(conn.send_all(frame.data(), kFirst).ok());
+  ASSERT_TRUE(eventually_buffered(reactor, kFirst));
+  ASSERT_TRUE(
+      conn.send_all(frame.data() + kFirst, serial::kHeaderSize - kFirst + body_first).ok());
+}
+
+// Frames one byte under, exactly at and one byte over the direct threshold,
+// each with its header split across two reads. On either path a frame is
+// charged only for what has arrived; every frame echoes intact and leaves
+// nothing charged.
+TEST(ReactorDirectFrameTest, ThresholdSizesWithSplitHeader) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  constexpr std::size_t kBodyFirst = 1000;
+  std::uint64_t id = 300;
+  for (const std::size_t size :
+       {kDirectFrameBytes - 1, kDirectFrameBytes, kDirectFrameBytes + 1}) {
+    const serial::Bytes payload = large_payload(++id, size);
+    const serial::Bytes frame = serial::build_frame(kEchoReq, payload);
+    send_split_header(conn.value(), server.reactor(), frame, kBodyFirst);
+    const std::size_t charged = serial::kHeaderSize + kBodyFirst;
+    EXPECT_TRUE(eventually_buffered(server.reactor(), charged))
+        << size << ": buffered " << server.reactor().buffered_bytes() << ", want " << charged;
+    const std::size_t sent = serial::kHeaderSize + kBodyFirst;
+    ASSERT_TRUE(conn.value().send_all(frame.data() + sent, frame.size() - sent).ok());
+    auto reply = recv_message(conn.value(), 10.0);
+    ASSERT_TRUE(reply.ok()) << size << ": " << reply.error().to_string();
+    EXPECT_TRUE(reply.value().payload == payload) << "payload of " << size << " B changed";
+    EXPECT_TRUE(eventually_buffered(server.reactor(), 0)) << size;
+  }
+  EXPECT_EQ(server.frames(), 3u);
+}
+
+// A small frame written in the same send right behind a direct frame is
+// read after the direct body completes and dispatched after it, in order.
+TEST(ReactorDirectFrameTest, SmallFramePipelinedBehindDirectFrame) {
+  ReactorConfig config;
+  config.inline_handlers = true;
+  EchoServer server(config);
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const serial::Bytes large = large_payload(401, kLargeFrameBytes);
+  const serial::Bytes small = make_payload(402);
+  serial::Bytes wire = serial::build_frame(kEchoReq, large);
+  const serial::Bytes tail = serial::build_frame(kEchoReq, small);
+  wire.insert(wire.end(), tail.begin(), tail.end());
+  // The header goes first and alone, so the large body takes the direct
+  // path; the rest of the body and the small frame then leave together.
+  ASSERT_TRUE(conn.value().send_all(wire.data(), serial::kHeaderSize).ok());
+  ASSERT_TRUE(eventually_buffered(server.reactor(), serial::kHeaderSize));
+  std::thread writer([&] {
+    EXPECT_TRUE(conn.value()
+                    .send_all(wire.data() + serial::kHeaderSize, wire.size() - serial::kHeaderSize)
+                    .ok());
+  });
+  for (const serial::Bytes* want : {&large, &small}) {
+    auto reply = recv_message(conn.value(), 10.0);
+    if (!reply.ok()) {
+      ADD_FAILURE() << reply.error().to_string();
+      break;
+    }
+    EXPECT_EQ(payload_id(reply.value().payload), payload_id(*want));
+    EXPECT_TRUE(reply.value().payload == *want) << payload_id(*want);
+  }
+  writer.join();
+  EXPECT_EQ(server.frames(), 2u);
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// A direct frame whose body fails the CRC folded in as it arrived closes
+// the connection; neither it nor the valid frame behind it is dispatched,
+// and its charge is released.
+TEST(ReactorDirectFrameTest, CorruptDirectFrameClosesWithoutDispatch) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  serial::Bytes wire = serial::build_frame(kEchoReq, large_payload(411, kLargeFrameBytes));
+  wire[wire.size() - 1] ^= 0x80;  // the last byte: only the full CRC can see it
+  const serial::Bytes valid = serial::build_frame(kEchoReq, make_payload(412));
+  wire.insert(wire.end(), valid.begin(), valid.end());
+  ASSERT_TRUE(conn.value().send_all(wire.data(), serial::kHeaderSize).ok());
+  ASSERT_TRUE(eventually_buffered(server.reactor(), serial::kHeaderSize));
+  (void)conn.value().send_all(wire.data() + serial::kHeaderSize,
+                              wire.size() - serial::kHeaderSize);
+
+  EXPECT_TRUE(closed_by_peer(conn.value()));
+  sleep_seconds(0.1);
+  EXPECT_EQ(server.frames(), 0u) << "a frame was dispatched after a CRC failure";
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 0));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+}
+
+// An allocation fault at "net.reactor_read" on the direct payload itself
+// (the victim's read buffer already exists, so nothing else allocates)
+// sheds only that connection and releases what it had charged.
+TEST(ReactorDirectFrameTest, AllocFaultOnDirectPayloadShedsOnlyThatConnection) {
+  EchoServer server;
+  auto bystander = TcpConnection::connect(server.endpoint());
+  auto victim = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(bystander.ok());
+  ASSERT_TRUE(victim.ok());
+  for (auto* conn : {&bystander.value(), &victim.value()}) {
+    ASSERT_TRUE(send_message(*conn, kEchoReq, make_payload(420)).ok());
+    ASSERT_TRUE(recv_message(*conn, 5.0).ok());
+  }
+  ASSERT_TRUE(eventually_buffered(server.reactor(), 0));
+
+  auto& injector = mem::AllocFaultInjector::instance();
+  const std::uint64_t bad_alloc_before = metrics::counter("mem.bad_alloc_total").value();
+  injector.arm(mem::AllocFaultPlan::single("net.reactor_read", 1.0, 1));
+  const serial::Bytes frame = serial::build_frame(kEchoReq, large_payload(421, kLargeFrameBytes));
+  (void)victim.value().send_all(frame.data(), serial::kHeaderSize + 1024);
+  EXPECT_TRUE(closed_by_peer(victim.value()));
+  EXPECT_EQ(injector.triggered_count(), 1u);
+  injector.disarm_all();
+  EXPECT_EQ(metrics::counter("mem.bad_alloc_total").value(), bad_alloc_before + 1);
+
+  ASSERT_TRUE(send_message(bystander.value(), kEchoReq, make_payload(422)).ok());
+  auto reply = recv_message(bystander.value(), 5.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(payload_id(reply.value().payload), 422u);
+  EXPECT_TRUE(eventually_conn_count(server.reactor(), 1));
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+  EXPECT_EQ(server.frames(), 3u);
+}
+
 // ---- scatter-gather sends ----
 
 // Both send paths write the frame header and the payload as separate
