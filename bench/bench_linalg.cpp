@@ -40,8 +40,34 @@ void BM_Gemm(benchmark::State& state) {
   state.counters["Mflops"] = benchmark::Counter(
       2.0 * static_cast<double>(n) * n * n / 1e6 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
+  state.SetLabel(gemm_isa());
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+
+// Each micro-kernel on the same C += A B, so one binary on one host gives
+// the ratio between them. Arg 0 picks the kernel (0 portable, 1 AVX2+FMA).
+void BM_GemmKernel(benchmark::State& state) {
+  const auto kernel = static_cast<detail::GemmKernel>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  state.SetLabel(kernel == detail::GemmKernel::kAvx2Fma ? "avx2+fma" : "portable");
+  if (!detail::gemm_kernel_supported(kernel)) {
+    state.SkipWithError("CPU lacks this kernel's instructions");
+    return;
+  }
+  Rng rng(1);
+  const Matrix a = Matrix::random(n, n, rng);
+  const Matrix b = Matrix::random(n, n, rng);
+  Matrix c(n, n);
+  for (auto _ : state) {
+    detail::gemm_update_with(kernel, n, n, n, 1.0, {a.data(), 1, n}, {b.data(), 1, n}, c.data(),
+                             n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      2.0 * static_cast<double>(n) * n * n / 1e6 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1}, {512}});
 
 void BM_Gemv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -71,6 +97,7 @@ void BM_LuSolve(benchmark::State& state) {
   state.counters["Mflops"] = benchmark::Counter(
       lu_flops(n) / 1e6 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
+  state.SetLabel(gemm_isa());
 }
 BENCHMARK(BM_LuSolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
@@ -83,6 +110,7 @@ void BM_CholeskySolve(benchmark::State& state) {
     auto x = dposv(a, b);
     benchmark::DoNotOptimize(x);
   }
+  state.SetLabel(gemm_isa());
 }
 BENCHMARK(BM_CholeskySolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 

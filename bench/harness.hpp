@@ -23,6 +23,7 @@
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "linalg/blas.hpp"
 #include "testkit/cluster.hpp"
 
 namespace ns::bench {
@@ -55,13 +56,15 @@ struct Options {
   }
 };
 
-/// The shape of the host a run was taken on: online CPUs, and the CPUs this
-/// process may run on (fewer when pinned, e.g. by taskset).
+/// The shape of the host a run was taken on: online CPUs, the CPUs this
+/// process may run on (fewer when pinned, e.g. by taskset), and the ISA of
+/// the GEMM micro-kernel (linalg::gemm_isa()).
 /// scripts/check_bench_regression.py refuses to compare runs of different
-/// shapes.
+/// shapes on any key the baseline's host note names.
 struct HostShape {
   long nproc = 0;
   int affinity_cpus = 0;
+  const char* gemm_isa = "";
 
   static HostShape current() {
     HostShape h;
@@ -69,6 +72,7 @@ struct HostShape {
     cpu_set_t set;
     CPU_ZERO(&set);
     h.affinity_cpus = sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+    h.gemm_isa = linalg::gemm_isa();
     return h;
   }
 };
@@ -86,9 +90,9 @@ inline bool write_metrics_json(const std::string& path, const std::string& exper
   const HostShape host = HostShape::current();
   std::fprintf(out,
                "{\"experiment\": \"%s\", \"quick\": %s, \"host\": {\"nproc\": %ld, "
-               "\"affinity_cpus\": %d}, \"metrics\": %s}\n",
+               "\"affinity_cpus\": %d, \"gemm_isa\": \"%s\"}, \"metrics\": %s}\n",
                experiment.c_str(), quick ? "true" : "false", host.nproc, host.affinity_cpus,
-               dump.c_str());
+               host.gemm_isa, dump.c_str());
   std::fclose(out);
   return true;
 }

@@ -61,6 +61,7 @@
 #include "common/clock.hpp"
 #include "common/config.hpp"
 #include "common/strings.hpp"
+#include "linalg/blas.hpp"
 #include "server/server.hpp"
 
 using namespace ns;
@@ -161,10 +162,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server failed to start: %s\n", server.error().to_string().c_str());
     return 1;
   }
-  std::printf("netsolve_server '%s' on %s (id=%u, %.0f Mflop/s)\n",
+  std::printf("netsolve_server '%s' on %s (id=%u, %.0f Mflop/s, gemm %s)\n",
               server.value()->name().c_str(),
               server.value()->endpoint().to_string().c_str(), server.value()->server_id(),
-              server.value()->rated_mflops());
+              server.value()->rated_mflops(), linalg::gemm_isa());
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_signal);

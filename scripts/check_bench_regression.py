@@ -29,7 +29,7 @@ together or alone:
     replication wire-compression ratio must stay >= 3x raw.
 
 Host shape: each bench --json file records the `host` it ran on (nproc,
-affinity_cpus; see bench/harness.hpp). A baseline's `host` note
+affinity_cpus, gemm_isa; see bench/harness.hpp). A baseline's `host` note
 names the shape its numbers hold for; the gate refuses to compare a result
 that differs from it on any key the note names, and says which. A gauge
 measured on a different shape is a different number, not a regression.
@@ -43,10 +43,11 @@ import json
 import sys
 
 
-# Host-shape keys: the CPU fields of perfbench/run.py's HOST_KEYS. The
-# bench harness does not record the build fields, and `pinned` adds nothing
-# once affinity_cpus is known.
-HOST_KEYS = ("nproc", "affinity_cpus")
+# Host-shape keys: the CPU fields of perfbench/run.py's HOST_KEYS, plus the
+# GEMM micro-kernel's ISA, so a kernel gauge is never compared across
+# kernels. The bench harness does not record the build fields, and `pinned`
+# adds nothing once affinity_cpus is known.
+HOST_KEYS = ("nproc", "affinity_cpus", "gemm_isa")
 
 DEFAULT_COMMENT = ("Transport benchmark baseline. Regenerate with "
                    "scripts/check_bench_regression.py --write-baseline after "

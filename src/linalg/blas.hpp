@@ -50,9 +50,30 @@ struct BlockView {
 /// C += alpha * A B for an m×k view A and a k×n view B, with C column-major
 /// at leading dimension ldc. This is the one packed, register-blocked kernel
 /// under gemm and the blocked LU and Cholesky factorizations; C must not
-/// overlap A or B.
+/// overlap A or B. Its micro-kernel is picked at run time (gemm_isa()).
 void gemm_update(std::size_t m, std::size_t n, std::size_t k, double alpha, BlockView a,
                  BlockView b, double* c, std::size_t ldc);
+
+/// Instruction set of the micro-kernel gemm_update runs on this host:
+/// "avx2+fma" where the CPU has both, else "sse2" ("portable" off x86-64).
+/// Chosen once per process; benches and the server log it so that kernel
+/// rates from different hosts are never compared as like for like.
+const char* gemm_isa() noexcept;
+
+namespace detail {
+
+/// The micro-kernels gemm_update can dispatch to. This is a test seam, not
+/// a user option: gemm_update always picks the fastest one the CPU has.
+enum class GemmKernel { kPortable, kAvx2Fma };
+
+/// Whether `kernel` can run on this CPU (kPortable always can).
+bool gemm_kernel_supported(GemmKernel kernel) noexcept;
+
+/// gemm_update on the given micro-kernel, which must be supported.
+void gemm_update_with(GemmKernel kernel, std::size_t m, std::size_t n, std::size_t k,
+                      double alpha, BlockView a, BlockView b, double* c, std::size_t ldc);
+
+}  // namespace detail
 
 /// C = alpha * A B + beta * C, on gemm_update. As in BLAS, beta == 0
 /// overwrites C without reading it (NaNs in C do not survive).

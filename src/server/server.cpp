@@ -14,6 +14,7 @@
 #include "common/trace.hpp"
 #include "dsl/specfile.hpp"
 #include "dsl/value.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/rating.hpp"
 #include "net/pool.hpp"
 #include "server/builtin_problems.hpp"
@@ -202,7 +203,7 @@ Status ComputeServer::register_link(AgentLink& link, std::vector<net::Endpoint>*
   server_id_.compare_exchange_strong(expected, link.id);
   NS_INFO("server") << config_.name << " registered as id=" << link.id << " at "
                     << link.endpoint.to_string() << " rating=" << rated_mflops_
-                    << " Mflop/s";
+                    << " Mflop/s gemm=" << linalg::gemm_isa();
   return ok_status();
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "common/cancel.hpp"
@@ -239,6 +240,128 @@ TEST(BlasTest, GemmUpdateOnTransposedStridedViews) {
       }
       EXPECT_NEAR(c(i, j), ref, 1e-13) << "(" << i << ", " << j << ")";
     }
+  }
+}
+
+// Each micro-kernel on its own, through the test seam, against a naive
+// triple loop: every host runs the portable kernel, and hosts with AVX2+FMA
+// also run that one, whichever gemm_update would pick.
+class GemmKernelTest : public ::testing::TestWithParam<detail::GemmKernel> {
+ protected:
+  void SetUp() override {
+    if (!detail::gemm_kernel_supported(GetParam())) {
+      GTEST_SKIP() << "this CPU lacks AVX2+FMA";
+    }
+  }
+
+  // C += alpha A B on views, checked against the naive sum. The bound is the
+  // classic k-term dot product error, (k + 2) eps times the magnitudes.
+  static void expect_matches_naive(std::size_t m, std::size_t n, std::size_t k, double alpha,
+                                   BlockView a, BlockView b, Matrix& c) {
+    const Matrix c0 = c;
+    detail::gemm_update_with(GetParam(), m, n, k, alpha, a, b, c.data(), c.rows());
+    const double eps = std::numeric_limits<double>::epsilon();
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        double ab = 0.0;
+        double mag = 0.0;
+        for (std::size_t l = 0; l < k; ++l) {
+          const double term = a.data[i * a.row_stride + l * a.col_stride] *
+                              b.data[l * b.row_stride + j * b.col_stride];
+          ab += term;
+          mag += std::abs(term);
+        }
+        const double tol =
+            static_cast<double>(k + 2) * eps * (std::abs(alpha) * mag + std::abs(c0(i, j)));
+        ASSERT_NEAR(c(i, j), c0(i, j) + alpha * ab, tol)
+            << "m " << m << " n " << n << " k " << k << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+};
+
+TEST_P(GemmKernelTest, MatchesNaiveLoopAcrossTileAndPanelEdges) {
+  // m and n straddle both tiles (8×4 and 8×6) and the 128-row A block; k
+  // straddles the 256-deep panel pair.
+  const std::size_t sides[] = {1, 5, 7, 9, 13, 130};
+  const std::size_t depths[] = {1, 255, 256, 257, 300};
+  for (const std::size_t m : sides) {
+    for (const std::size_t n : sides) {
+      for (const std::size_t k : depths) {
+        Rng rng(m * 1000003 + n * 1009 + k);
+        const Matrix a = Matrix::random(m, k, rng);
+        const Matrix b = Matrix::random(k, n, rng);
+        Matrix c = Matrix::random(m, n, rng);
+        expect_matches_naive(m, n, k, -1.0, {a.data(), 1, m}, {b.data(), 1, k}, c);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST_P(GemmKernelTest, TransposedAndStridedViews) {
+  // A is the transpose of a block inside a larger matrix and B a block of a
+  // taller one; C is a block of a larger matrix, whose border must not move.
+  Rng rng(11);
+  const std::size_t m = 13, n = 9, k = 257;
+  const Matrix at = Matrix::random(k + 3, m + 2, rng);  // A = at(2:2+k, 1:1+m)^T
+  const Matrix big_b = Matrix::random(k + 5, n + 4, rng);
+  const Matrix c0 = Matrix::random(m + 4, n + 3, rng);
+  Matrix c = c0;
+  const BlockView a{at.col(1) + 2, at.rows(), 1};
+  const BlockView b{big_b.col(3) + 4, 1, big_b.rows()};
+  detail::gemm_update_with(GetParam(), m, n, k, 0.5, a, b, &c(3, 2), c.rows());
+  const double eps = std::numeric_limits<double>::epsilon();
+  for (std::size_t j = 0; j < c.cols(); ++j) {
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      if (i < 3 || i >= 3 + m || j < 2 || j >= 2 + n) {
+        ASSERT_EQ(c(i, j), c0(i, j)) << "border moved at (" << i << ", " << j << ")";
+        continue;
+      }
+      double ab = 0.0;
+      double mag = 0.0;
+      for (std::size_t l = 0; l < k; ++l) {
+        ab += at(2 + l, 1 + i - 3) * big_b(4 + l, 3 + j - 2);
+        mag += std::abs(at(2 + l, 1 + i - 3) * big_b(4 + l, 3 + j - 2));
+      }
+      const double tol = static_cast<double>(k + 2) * eps * (0.5 * mag + std::abs(c0(i, j)));
+      ASSERT_NEAR(c(i, j), c0(i, j) + 0.5 * ab, tol) << "(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST_P(GemmKernelTest, ZeroSizedShapesAndZeroAlphaLeaveCUntouched) {
+  Rng rng(12);
+  const Matrix a = Matrix::random(9, 7, rng);
+  const Matrix b = Matrix::random(7, 5, rng);
+  const Matrix c0 = Matrix::random(9, 5, rng);
+  const std::size_t shapes[][3] = {{0, 5, 7}, {9, 0, 7}, {9, 5, 0}, {0, 0, 0}};
+  for (const auto& [m, n, k] : shapes) {
+    Matrix c = c0;
+    detail::gemm_update_with(GetParam(), m, n, k, 1.0, {a.data(), 1, 9}, {b.data(), 1, 7},
+                             c.data(), c.rows());
+    EXPECT_EQ(max_abs_diff(c, c0), 0.0) << "m " << m << " n " << n << " k " << k;
+  }
+  Matrix c = c0;
+  detail::gemm_update_with(GetParam(), 9, 5, 7, 0.0, {a.data(), 1, 9}, {b.data(), 1, 7},
+                           c.data(), c.rows());
+  EXPECT_EQ(max_abs_diff(c, c0), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GemmKernelTest,
+                         ::testing::Values(detail::GemmKernel::kPortable,
+                                           detail::GemmKernel::kAvx2Fma),
+                         [](const ::testing::TestParamInfo<detail::GemmKernel>& info) {
+                           return info.param == detail::GemmKernel::kAvx2Fma ? "Avx2Fma"
+                                                                              : "Portable";
+                         });
+
+TEST(BlasTest, GemmIsaNamesTheKernelGemmUpdateRuns) {
+  const std::string isa = gemm_isa();
+  if (detail::gemm_kernel_supported(detail::GemmKernel::kAvx2Fma)) {
+    EXPECT_EQ(isa, "avx2+fma");
+  } else {
+    EXPECT_TRUE(isa == "sse2" || isa == "portable") << isa;
   }
 }
 
