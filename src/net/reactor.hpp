@@ -229,6 +229,10 @@ class Reactor {
   /// the loop thread closes the listener on its next wakeup.
   void stop_accepting();
 
+  /// Run `task` on the handler pool, whose threads stop() joins. False
+  /// (task dropped) once stop() has begun or before start().
+  bool submit(std::function<void()> task) { return pool_.submit(std::move(task)); }
+
   Endpoint endpoint() const { return listener_.endpoint(); }
   bool running() const noexcept { return running_.load(std::memory_order_acquire); }
   std::size_t connection_count() const;

@@ -31,6 +31,20 @@ serial::Bytes encode_payload(const auto& msg) {
   return enc.take();
 }
 
+// The control-message shape: decode a `Req`, hand it to `handle`, send what
+// it returns as `reply_type`. A payload that does not decode is a protocol
+// violation and drops the connection.
+template <typename Req, typename Handle>
+bool answer(const net::ReactorConnPtr& conn, const net::Message& msg, MessageType reply_type,
+            Handle&& handle) {
+  serial::Decoder dec(msg.payload);
+  auto request = Req::decode(dec);
+  if (!request.ok()) return false;
+  return conn->send(static_cast<std::uint16_t>(reply_type),
+                    encode_payload(handle(std::move(request).value())))
+      .ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config) {
@@ -102,7 +116,11 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
       },
       reactor_config));
   server->report_thread_ = std::thread([raw = server.get()] { raw->report_loop(); });
-  server->launch_recovered_jobs();
+  // Launch in journal (= original admission) order; EDF re-sorts by the
+  // decayed deadlines anyway, and the sequence numbers keep FIFO ties.
+  for (auto& job : std::exchange(server->recovered_jobs_, {})) {
+    server->launch(std::move(job));
+  }
   return server;
 }
 
@@ -456,88 +474,63 @@ void ComputeServer::dispatch_locked() {
 bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) {
   if (stopping_.load()) return false;
 
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kPing)) {
-    return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kMetricsQuery)) {
-    serial::Decoder query_dec(msg.payload);
-    auto query = proto::MetricsQuery::decode(query_dec);
-    proto::MetricsDump dump;
-    dump.snapshot = metrics::Registry::instance().snapshot(
-        query.ok() ? query.value().prefix : std::string{});
-    return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
-                      encode_payload(dump))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCancelRequest)) {
-    serial::Decoder cancel_dec(msg.payload);
-    auto cancel = proto::CancelRequest::decode(cancel_dec);
-    if (!cancel.ok()) return false;  // protocol violation: drop
-    metrics_.cancel_requests.inc();
-    proto::CancelAck ack;
-    ack.request_id = cancel.value().request_id;
-    ack.outcome = cancel_jobs(cancel.value().request_id);
-    {
-      // Lock-then-notify so a queued job that checked its token just
-      // before blocking cannot miss the wakeup.
-      std::lock_guard<std::mutex> lock(jobs_mu_);
+  switch (static_cast<MessageType>(msg.type)) {
+    case MessageType::kPing:
+      return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
+    case MessageType::kMetricsQuery: {
+      serial::Decoder query_dec(msg.payload);
+      auto query = proto::MetricsQuery::decode(query_dec);
+      proto::MetricsDump dump;
+      dump.snapshot = metrics::Registry::instance().snapshot(
+          query.ok() ? query.value().prefix : std::string{});
+      return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
+                        encode_payload(dump))
+          .ok();
     }
-    jobs_cv_.notify_all();
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCancelAck),
-                      encode_payload(ack))
-        .ok();
+    case MessageType::kCancelRequest:
+      return answer<proto::CancelRequest>(
+          conn, msg, MessageType::kCancelAck, [this](proto::CancelRequest&& cancel) {
+            metrics_.cancel_requests.inc();
+            proto::CancelAck ack;
+            ack.request_id = cancel.request_id;
+            ack.outcome = cancel_jobs(cancel.request_id);
+            wake_queued_jobs();
+            return ack;
+          });
+    case MessageType::kDrainRequest:
+      return answer<proto::DrainRequest>(
+          conn, msg, MessageType::kDrainAck, [this](proto::DrainRequest&& drain) {
+            proto::DrainAck ack;
+            {
+              std::lock_guard<std::mutex> lock(jobs_mu_);
+              ack.running = static_cast<std::uint32_t>(running_jobs_);
+              ack.queued = static_cast<std::uint32_t>(waiting_jobs_);
+            }
+            ack.started = start_drain(drain.deadline_s);
+            return ack;
+          });
+    case MessageType::kProbeRequest:
+      return answer<proto::ProbeRequest>(
+          conn, msg, MessageType::kProbeReply,
+          [this](proto::ProbeRequest&& probe) { return probe_job(probe); });
+    case MessageType::kJobTransfer:
+      return answer<proto::JobTransfer>(
+          conn, msg, MessageType::kTransferAck, [this](proto::JobTransfer&& transfer) {
+            return accept_transfer(std::move(transfer));
+          });
+    case MessageType::kCheckpointPut:
+      return answer<proto::CheckpointPut>(
+          conn, msg, MessageType::kCheckpointPutAck,
+          [this](proto::CheckpointPut&& put) { return accept_checkpoint(std::move(put)); });
+    case MessageType::kCheckpointFetch:
+      return answer<proto::CheckpointFetch>(
+          conn, msg, MessageType::kCheckpointFetchReply,
+          [this](proto::CheckpointFetch&& fetch) { return handle_checkpoint_fetch(fetch); });
+    case MessageType::kSolveRequest:
+      return handle_solve(conn, msg.payload);
+    default:
+      return false;  // protocol violation: drop
   }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kDrainRequest)) {
-    serial::Decoder drain_dec(msg.payload);
-    auto drain_msg = proto::DrainRequest::decode(drain_dec);
-    if (!drain_msg.ok()) return false;  // protocol violation: drop
-    proto::DrainAck ack;
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      ack.running = static_cast<std::uint32_t>(running_jobs_);
-      ack.queued = static_cast<std::uint32_t>(waiting_jobs_);
-    }
-    ack.started = start_drain(drain_msg.value().deadline_s);
-    return conn->send(static_cast<std::uint16_t>(MessageType::kDrainAck),
-                      encode_payload(ack))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kProbeRequest)) {
-    serial::Decoder probe_dec(msg.payload);
-    auto probe = proto::ProbeRequest::decode(probe_dec);
-    if (!probe.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kProbeReply),
-                      encode_payload(probe_job(probe.value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kJobTransfer)) {
-    serial::Decoder transfer_dec(msg.payload);
-    auto transfer = proto::JobTransfer::decode(transfer_dec);
-    if (!transfer.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kTransferAck),
-                      encode_payload(accept_transfer(std::move(transfer).value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointPut)) {
-    serial::Decoder put_dec(msg.payload);
-    auto put = proto::CheckpointPut::decode(put_dec);
-    if (!put.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointPutAck),
-                      encode_payload(accept_checkpoint(std::move(put).value())))
-        .ok();
-  }
-  if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointFetch)) {
-    serial::Decoder fetch_dec(msg.payload);
-    auto fetch = proto::CheckpointFetch::decode(fetch_dec);
-    if (!fetch.ok()) return false;  // protocol violation: drop
-    return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply),
-                      encode_payload(handle_checkpoint_fetch(fetch.value())))
-        .ok();
-  }
-  if (msg.type != static_cast<std::uint16_t>(MessageType::kSolveRequest)) {
-    return false;  // protocol violation: drop
-  }
-  return handle_solve(conn, msg.payload);
 }
 
 bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
@@ -582,7 +575,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
       // (from the owner) do the full teardown. handle_message rejects all
       // further frames meanwhile.
       reactor_.stop_accepting();
-      jobs_cv_.notify_all();
+      wake_queued_jobs();
       return false;
     case FailureSpec::Mode::kDropRequest:
       NS_DEBUG("server") << config_.name << " injected connection drop";
@@ -1209,21 +1202,47 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
   }
 }
 
-void ComputeServer::launch_recovered_jobs() {
-  std::vector<std::shared_ptr<ActiveJob>> jobs;
-  jobs.swap(recovered_jobs_);
-  // Launch in journal (= original admission) order; EDF re-sorts by the
-  // decayed deadlines anyway, and the sequence numbers keep FIFO ties.
-  for (auto& job : jobs) {
-    active_connections_.fetch_add(1);
-    std::thread([this, job] {
-      const Stopwatch since_receipt;
-      // No client connection to answer — the original caller re-attaches
-      // with a PROBE and reads the stored result.
-      (void)run_job(job, since_receipt);
-      active_connections_.fetch_sub(1);
-    }).detach();
+void ComputeServer::launch(std::shared_ptr<ActiveJob> job) {
+  // A refused submit means stop() has begun: the job is then exactly a
+  // queued job woken by the stop — no terminal record, so replay re-admits
+  // it if a journal holds it.
+  (void)reactor_.submit([this, job = std::move(job)] {
+    const Stopwatch since_receipt;
+    // No client connection to answer — the original caller re-attaches
+    // with a PROBE and reads the stored result.
+    (void)run_job(job, since_receipt);
+  });
+}
+
+void ComputeServer::readmit(proto::SolveRequest request, double deadline_s,
+                            checkpoint::Snapshot snapshot) {
+  metrics_.requests.inc();
+  const std::uint64_t id = request.request_id;
+  auto job = std::make_shared<ActiveJob>();
+  job->readmit = true;
+  job->request = std::move(request);
+  job->request.deadline_s = deadline_s;
+  {
+    std::lock_guard<std::mutex> lock(active_jobs_mu_);
+    active_jobs_.emplace(id, job);
   }
+  journal_admit(*job, deadline_s);
+  if (snapshot.iteration > 0) {
+    if (job->journaled) {
+      // Persist the carried snapshot too: a crash right after the hand-off
+      // must still resume mid-iteration, not from scratch.
+      JournalRecord rec;
+      rec.type = JournalRecordType::kCheckpoint;
+      rec.request_id = id;
+      rec.wall_micros = wall_micros();
+      rec.iteration = snapshot.iteration;
+      rec.residual = snapshot.residual;
+      rec.data = snapshot.state;  // the journal's copy; the kernel takes the original
+      journal_append(rec);
+    }
+    job->ckpt.install_restore(std::move(snapshot));
+  }
+  launch(std::move(job));
 }
 
 std::uint64_t ComputeServer::journal_appends() const {
@@ -1579,47 +1598,13 @@ proto::TransferAck ComputeServer::accept_transfer(proto::JobTransfer transfer) {
     ack.reason = "problem not in catalogue: " + transfer.request.problem;
     return ack;
   }
-  metrics_.requests.inc();
-  auto job = std::make_shared<ActiveJob>();
-  job->readmit = true;
-  transfer.request.deadline_s = transfer.deadline_remaining_s;
-  job->request = std::move(transfer.request);
-  const std::uint64_t ck_iteration = transfer.checkpoint_iteration;
-  const double ck_residual = transfer.checkpoint_residual;
-  if (ck_iteration > 0) {
-    checkpoint::Snapshot snap;
-    snap.iteration = ck_iteration;
-    snap.residual = ck_residual;
-    snap.state = transfer.checkpoint_state;  // keep the original for the journal
-    job->ckpt.install_restore(std::move(snap));
-  }
-  {
-    std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    active_jobs_.emplace(ack.request_id, job);
-  }
-  journal_admit(*job, job->request.deadline_s);
-  if (job->journaled && ck_iteration > 0) {
-    // Persist the carried snapshot too: a crash right after the hand-off
-    // must still resume mid-iteration, not from scratch.
-    JournalRecord rec;
-    rec.type = JournalRecordType::kCheckpoint;
-    rec.request_id = ack.request_id;
-    rec.wall_micros = wall_micros();
-    rec.iteration = ck_iteration;
-    rec.residual = ck_residual;
-    rec.data = std::move(transfer.checkpoint_state);
-    journal_append(rec);
-  }
   NS_INFO("server") << config_.name << " accepted transferred job " << ack.request_id
                     << " from " << transfer.from_server << " at checkpoint iteration "
-                    << ck_iteration;
+                    << transfer.checkpoint_iteration;
+  readmit(std::move(transfer.request), transfer.deadline_remaining_s,
+          {transfer.checkpoint_iteration, transfer.checkpoint_residual,
+           std::move(transfer.checkpoint_state)});
   ack.accepted = true;
-  active_connections_.fetch_add(1);
-  std::thread([this, job] {
-    const Stopwatch since_receipt;
-    (void)run_job(job, since_receipt);
-    active_connections_.fetch_sub(1);
-  }).detach();
   return ack;
 }
 
@@ -1868,43 +1853,13 @@ proto::CheckpointFetchReply ComputeServer::handle_checkpoint_fetch(
     }
   }
 
-  metrics_.requests.inc();
-  auto job = std::make_shared<ActiveJob>();
-  job->readmit = true;
-  job->request = std::move(entry.request);
-  job->request.deadline_s = deadline;
-  const std::uint64_t ck_iteration = entry.snapshot.iteration;
-  serial::Bytes journal_state = entry.snapshot.state;  // keep for the journal
-  if (ck_iteration > 0) {
-    job->ckpt.install_restore(std::move(entry.snapshot));
-  }
-  {
-    std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    active_jobs_.emplace(fetch.request_id, job);
-  }
-  journal_admit(*job, job->request.deadline_s);
-  if (job->journaled && ck_iteration > 0) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kCheckpoint;
-    rec.request_id = fetch.request_id;
-    rec.wall_micros = wall_micros();
-    rec.iteration = ck_iteration;
-    rec.residual = reply.residual;
-    rec.data = std::move(journal_state);
-    journal_append(rec);
-  }
   failover_resumes_.fetch_add(1);
   metrics_.store_failover_resume.inc();
   NS_INFO("server") << config_.name << " adopted job " << fetch.request_id
                     << " from crashed peer " << reply.origin
-                    << " at replicated checkpoint iteration " << ck_iteration;
+                    << " at replicated checkpoint iteration " << entry.snapshot.iteration;
+  readmit(std::move(entry.request), deadline, std::move(entry.snapshot));
   reply.adopted = true;
-  active_connections_.fetch_add(1);
-  std::thread([this, job] {
-    const Stopwatch since_receipt;
-    (void)run_job(job, since_receipt);
-    active_connections_.fetch_sub(1);
-  }).detach();
   return reply;
 }
 
@@ -2132,10 +2087,7 @@ void ComputeServer::drain_work(double deadline_s) {
         ++tripped;
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-    }
-    jobs_cv_.notify_all();
+    wake_queued_jobs();
     NS_WARN("server") << config_.name << " drain deadline lapsed; cancelled " << tripped
                       << " outstanding job(s)";
     const Deadline grace(config_.io_timeout_s);
@@ -2148,26 +2100,28 @@ void ComputeServer::drain_work(double deadline_s) {
   NS_INFO("server") << config_.name << " drained";
 }
 
-void ComputeServer::stop() {
-  // Single flow whether the stop is local or was flagged by an injected
-  // crash. Order matters: solve handlers block on jobs_cv_ inside reactor
-  // pool threads, so the condvar must be woken (with stopping_ visible)
-  // *before* reactor_.stop() joins those threads, or the join deadlocks.
-  stopping_.store(true);
+void ComputeServer::wake_queued_jobs() {
   {
+    // Lock-then-notify so a queued job that checked its token (or
+    // stopping_) just before blocking cannot miss the wakeup.
     std::lock_guard<std::mutex> lock(jobs_mu_);
   }
   jobs_cv_.notify_all();
+}
+
+void ComputeServer::stop() {
+  // Single flow whether the stop is local or was flagged by an injected
+  // crash. Order matters: queued jobs — live solves and launched ones alike
+  // — block on jobs_cv_ inside reactor pool threads, so the condvar must be
+  // woken (with stopping_ visible) *before* reactor_.stop() joins those
+  // threads, or the join deadlocks. Once the join returns, no job of this
+  // server is still running.
+  stopping_.store(true);
+  wake_queued_jobs();
   reactor_.stop();
   listener_.close();  // only still bound if start() failed before the reactor adopted it
   if (report_thread_.joinable()) report_thread_.join();
   if (drain_thread_.joinable()) drain_thread_.join();
-  // Recovered-job and transfer threads are detached; give them the same
-  // bounded drain the connection threads used to get.
-  const Deadline deadline(config_.io_timeout_s + 1.0);
-  while (active_connections_.load() > 0 && !deadline.expired()) {
-    sleep_seconds(0.001);
-  }
 }
 
 }  // namespace ns::server

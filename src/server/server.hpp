@@ -546,6 +546,9 @@ class ComputeServer {
   proto::CancelOutcome cancel_jobs(std::uint64_t request_id);
   /// The drain worker: deregister, wait out the queue, cancel stragglers.
   void drain_work(double deadline_s);
+  /// Wake every job blocked on jobs_cv_ so it re-checks its token and
+  /// stopping_.
+  void wake_queued_jobs();
   /// Fire-and-forget DeregisterServer to every agent this server registered
   /// with, so rankings exclude it immediately.
   void deregister_from_agents();
@@ -561,11 +564,19 @@ class ComputeServer {
   // to drop a job.
 
   /// mkdir the data dir, replay + open the journal, rebuild unfinished jobs
-  /// (launched by launch_recovered_jobs() once the threads are up), and
-  /// compact the replayed history. Called once from start().
+  /// (launched by start() once the reactor is up), and compact the replayed
+  /// history. Called once from start().
   Status open_journal();
   void restore_from_replay(ReplaySummary replay);
-  void launch_recovered_jobs();
+  /// Run a registered job with no client connection waiting on it (recovered,
+  /// transferred or adopted) on the reactor's handler pool, whose threads
+  /// stop() joins. The caller re-attaches with PROBE for the result.
+  void launch(std::shared_ptr<ActiveJob> job);
+  /// Re-admit a job another incarnation or peer accepted first: register it,
+  /// journal its ADMITTED record and the carried snapshot (copied only when
+  /// journaled), install the snapshot to resume from, and launch it.
+  void readmit(proto::SolveRequest request, double deadline_s,
+               checkpoint::Snapshot snapshot);
   /// Append one record; silent no-op without an open journal.
   void journal_append(const JournalRecord& record);
   void journal_append_locked(const JournalRecord& record);
@@ -658,7 +669,6 @@ class ComputeServer {
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};
   std::thread drain_thread_;
-  std::atomic<int> active_connections_{0};
 
   std::mutex active_jobs_mu_;
   std::multimap<std::uint64_t, std::shared_ptr<ActiveJob>> active_jobs_;
@@ -707,7 +717,7 @@ class ComputeServer {
   /// Guards the journal and the terminal-record protocol (see above).
   mutable std::mutex journal_mu_;
   Journal journal_;
-  /// Jobs rebuilt from the journal, waiting for launch_recovered_jobs().
+  /// Jobs rebuilt from the journal, launched by start() once the reactor is up.
   std::vector<std::shared_ptr<ActiveJob>> recovered_jobs_;
   /// Terminal results kept for re-attaching probes, bounded FIFO by count
   /// and by kMaxStoredResultBytes.

@@ -276,6 +276,48 @@ TEST(DurableTest, DrainMigratesRunningJobsToPeer) {
   EXPECT_GE(cluster.value()->server(1).last_resume_iteration(), 50u);
 }
 
+// A job recovered from the journal runs on a thread stop() joins: once
+// stop() returns, nothing of the stopped server is still executing, so no
+// completion can land afterwards (with the server destroyed, that late
+// finish_job would touch freed memory). The short io timeout keeps stop()
+// from waiting out the job on a timer; only the join can make it wait.
+TEST(DurableTest, StopWaitsForRecoveredJob) {
+  TempDir data;
+  testkit::ClusterConfig config;
+  config.rating_base = 500.0;
+  testkit::ClusterServerSpec spec;
+  spec.name = "server0";
+  spec.workers = 1;
+  spec.slowdown_mode = server::SlowdownMode::kSleep;
+  spec.data_dir = data.path;
+  config.servers = {spec};
+  config.io_timeout_s = 0.3;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
+
+  // simwork(1500) at rating 500 = ~3 s of sliced sleep.
+  auto conn = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  ASSERT_TRUE(send_solve(conn.value(), 4001, 1500).ok());
+  ASSERT_TRUE(eventually([&] { return probed_iteration(endpoint, 4001) >= 1; }, 10.0))
+      << "the solve never started";
+
+  cluster.value()->crash_server(0);
+  ASSERT_TRUE(cluster.value()->restart_server(0).ok());
+  EXPECT_EQ(cluster.value()->server(0).jobs_recovered(), 1u);
+  ASSERT_TRUE(eventually([&] { return probed_iteration(endpoint, 4001) >= 1; }, 10.0))
+      << "the recovered job never started";
+
+  auto& completed = metrics::counter("server.completed_total");
+  cluster.value()->kill_server(0);
+  const auto at_stop = completed.value();
+  // Longer than the whole job: a job thread that outlived stop() would
+  // complete inside this window.
+  EXPECT_FALSE(eventually([&] { return completed.value() != at_stop; }, 4.0))
+      << "the recovered job completed after stop() returned";
+}
+
 // ---- satellite: netslpr/netslwt against a long-running solve ----
 
 TEST(DurableTest, ProbeAndWaitObserveALongSolve) {

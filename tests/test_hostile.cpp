@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/client.hpp"
@@ -28,6 +29,7 @@
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
+#include "proto/messages.hpp"
 #include "testkit/cluster.hpp"
 #include "testkit/hostile.hpp"
 
@@ -358,6 +360,67 @@ TEST(HostileTest, SlowReaderTripsWriteBudgetAndIsDropped) {
   auto reply = net::recv_message(good.value(), 5.0);
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_EQ(reply.value().type, kBlobRep);
+}
+
+// ---- malformed control frames: a payload that does not decode drops only
+// its own connection ----
+
+template <typename Msg>
+serial::Bytes truncated(const Msg& msg) {
+  serial::Encoder enc;
+  msg.encode(enc);
+  serial::Bytes payload = enc.take();
+  payload.pop_back();  // every field is mandatory: one byte short never decodes
+  return payload;
+}
+
+TEST(HostileTest, TruncatedControlFramesDropOnlyTheirConnection) {
+  auto cluster = armored_cluster(net::GuardConfig{});
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
+
+  using proto::MessageType;
+  proto::JobTransfer transfer;
+  transfer.request.request_id = 5001;
+  transfer.request.problem = "simwork";
+  transfer.from_server = "peer";
+  proto::CheckpointPut put;
+  put.origin = "peer";
+  put.request_id = 5002;
+  proto::CheckpointFetch fetch;
+  fetch.request_id = 5002;
+  fetch.adopt = true;
+  const std::vector<std::pair<MessageType, serial::Bytes>> frames = {
+      {MessageType::kCancelRequest, truncated(proto::CancelRequest{})},
+      {MessageType::kDrainRequest, truncated(proto::DrainRequest{})},
+      {MessageType::kProbeRequest, truncated(proto::ProbeRequest{})},
+      {MessageType::kJobTransfer, truncated(transfer)},
+      {MessageType::kCheckpointPut, truncated(put)},
+      {MessageType::kCheckpointFetch, truncated(fetch)},
+  };
+  for (const auto& [type, payload] : frames) {
+    SCOPED_TRACE(static_cast<int>(type));
+    auto bad = net::TcpConnection::connect(endpoint);
+    ASSERT_TRUE(bad.ok()) << bad.error().to_string();
+    ASSERT_TRUE(
+        net::send_message(bad.value(), static_cast<std::uint16_t>(type), payload).ok());
+    auto reply = net::recv_message(bad.value(), 5.0);
+    ASSERT_FALSE(reply.ok()) << "server answered a truncated control frame";
+    EXPECT_EQ(reply.error().code, ErrorCode::kConnectionClosed)
+        << reply.error().to_string();
+
+    auto good = net::TcpConnection::connect(endpoint);
+    ASSERT_TRUE(good.ok()) << good.error().to_string();
+    ASSERT_TRUE(
+        net::send_message(good.value(), static_cast<std::uint16_t>(MessageType::kPing), {})
+            .ok());
+    auto pong = net::recv_message(good.value(), 5.0);
+    ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+    EXPECT_EQ(pong.value().type, static_cast<std::uint16_t>(MessageType::kPong));
+  }
+  // None of them took effect: no drain started, nothing adopted or stored.
+  EXPECT_FALSE(cluster.value()->server(0).draining());
+  EXPECT_EQ(cluster.value()->server(0).replica_holds(), 0u);
 }
 
 // ---- fd pressure: EMFILE on accept must shed, count, and recover ----
