@@ -45,11 +45,13 @@ void BM_Gemm(benchmark::State& state) {
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 // Each micro-kernel on the same C += A B, so one binary on one host gives
-// the ratio between them. Arg 0 picks the kernel (0 portable, 1 AVX2+FMA).
+// the ratios between them. Arg 0 picks the kernel (0 portable, 1 AVX2+FMA,
+// 2 AVX-512).
 void BM_GemmKernel(benchmark::State& state) {
   const auto kernel = static_cast<detail::GemmKernel>(state.range(0));
   const auto n = static_cast<std::size_t>(state.range(1));
-  state.SetLabel(kernel == detail::GemmKernel::kAvx2Fma ? "avx2+fma" : "portable");
+  static constexpr const char* kLabels[] = {"portable", "avx2+fma", "avx512"};
+  state.SetLabel(kLabels[state.range(0)]);
   if (!detail::gemm_kernel_supported(kernel)) {
     state.SkipWithError("CPU lacks this kernel's instructions");
     return;
@@ -67,7 +69,7 @@ void BM_GemmKernel(benchmark::State& state) {
       2.0 * static_cast<double>(n) * n * n / 1e6 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1}, {512}});
+BENCHMARK(BM_GemmKernel)->ArgsProduct({{0, 1, 2}, {512}});
 
 void BM_Gemv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -100,6 +102,25 @@ void BM_LuSolve(benchmark::State& state) {
   state.SetLabel(gemm_isa());
 }
 BENCHMARK(BM_LuSolve)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
+// BM_LuSolve's diagonally dominant systems never pivot, and neither do the
+// rating's or perfbench's. A general random matrix swaps a row at nearly
+// every step, so this is the row that times the row interchanges.
+void BM_LuSolvePivot(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  const Matrix a = Matrix::random(n, n, rng);
+  const Vector b = random_vector(n, rng);
+  for (auto _ : state) {
+    auto x = dgesv(a, b);
+    benchmark::DoNotOptimize(x);
+  }
+  state.counters["Mflops"] = benchmark::Counter(
+      lu_flops(n) / 1e6 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.SetLabel(gemm_isa());
+}
+BENCHMARK(BM_LuSolvePivot)->Arg(512)->Arg(1024);
 
 void BM_CholeskySolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -87,15 +88,18 @@ namespace {
 // Nr-column panels and A kMc×kKc at a time into Mr-row panels, both
 // zero-padded to whole tiles so the micro-kernel runs fixed trip counts. The
 // micro-kernel keeps an Mr×Nr tile of C in registers while it streams one A
-// panel and one B panel; only partial edge tiles are written back element by
-// element. The packing and blocking are shared; the tile shape comes with
-// the micro-kernel, of which there are two, picked once per process:
+// panel and one B panel; partial edge tiles write back only their own rows
+// and columns. The packing and blocking are shared; the tile shape comes
+// with the micro-kernel, of which there are three, the widest the CPU has
+// picked once per process:
 //
 //  * portable: 8×4 in plain C++ on two-lane vectors, which every x86-64 and
 //    AArch64 target has, so it needs no -march flag; of the tile shapes
 //    tried at -O2 (4×4, 4×6, 6×4, 8×2, 8×3, 8×4), 8×4 ran fastest.
 //  * avx2: 8×6 on four-lane FMA vectors, compiled for AVX2+FMA by a target
 //    attribute and run only where the CPU reports both.
+//  * avx512: 16×12 on eight-lane FMA vectors, compiled for AVX-512F the same
+//    way and run only where the CPU reports it.
 constexpr std::size_t kKc = 256;  // depth of one packed A/B panel pair
 constexpr std::size_t kMc = 128;  // rows of A per packed block (256 KiB at kKc)
 
@@ -269,6 +273,54 @@ __attribute__((target("avx2,fma"))) void micro_kernel(std::size_t kc, const doub
 
 }  // namespace avx2
 
+namespace avx512 {
+
+// Twenty-four eight-lane accumulators (two per tile column), two A vectors
+// and one B broadcast: 27 of the 32 zmm registers, so nothing spills.
+constexpr std::size_t kMr = 16;  // rows of C per register tile
+constexpr std::size_t kNr = 12;  // columns of C per register tile
+
+__attribute__((target("avx512f"))) void micro_kernel(std::size_t kc, const double* pa,
+                                                     const double* pb, double alpha, double* c,
+                                                     std::size_t ldc, std::size_t rows,
+                                                     std::size_t cols) noexcept {
+  __m512d acc[kNr][2];
+#pragma GCC unroll 12
+  for (std::size_t j = 0; j < kNr; ++j) acc[j][0] = acc[j][1] = _mm512_setzero_pd();
+  for (std::size_t l = 0; l < kc; ++l) {
+    const __m512d a0 = _mm512_loadu_pd(pa);
+    const __m512d a1 = _mm512_loadu_pd(pa + 8);
+#pragma GCC unroll 12
+    for (std::size_t j = 0; j < kNr; ++j) {
+      const __m512d b = _mm512_set1_pd(pb[j]);
+      acc[j][0] = _mm512_fmadd_pd(a0, b, acc[j][0]);
+      acc[j][1] = _mm512_fmadd_pd(a1, b, acc[j][1]);
+    }
+    pa += kMr;
+    pb += kNr;
+  }
+  // Every tile writes back under lane masks: rows past `rows` are neither
+  // read nor written, and columns past `cols` are skipped. The column loop
+  // is unrolled so that each accumulator index is a constant and the tile
+  // stays in registers.
+  const __m512d scale = _mm512_set1_pd(alpha);
+  const auto lo = static_cast<__mmask8>(rows >= 8 ? 0xFF : (1u << rows) - 1);
+  const auto hi = static_cast<__mmask8>(rows <= 8 ? 0 : (1u << (rows - 8)) - 1);
+#pragma GCC unroll 12
+  for (std::size_t j = 0; j < kNr; ++j) {
+    if (j == cols) break;
+    double* dst = c + j * ldc;
+    _mm512_mask_storeu_pd(dst, lo,
+                          _mm512_fmadd_pd(scale, acc[j][0], _mm512_maskz_loadu_pd(lo, dst)));
+    if (hi != 0) {
+      _mm512_mask_storeu_pd(
+          dst + 8, hi, _mm512_fmadd_pd(scale, acc[j][1], _mm512_maskz_loadu_pd(hi, dst + 8)));
+    }
+  }
+}
+
+}  // namespace avx512
+
 bool has_avx2_fma() noexcept {
   static const bool supported = [] {
     __builtin_cpu_init();
@@ -277,17 +329,122 @@ bool has_avx2_fma() noexcept {
   return supported;
 }
 
+bool has_avx512f() noexcept {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return supported;
+}
+
+// The raw-span level-1 loops under the factorizations' leaves. They are
+// compiled for AVX2 alone, without FMA, so the compiler cannot fuse a
+// multiply into the add after it: every element rounds exactly as the plain
+// loop rounds it, and the results do not depend on the ISA.
+__attribute__((target("avx2"))) inline void axpy_avx2(std::size_t n, double alpha,
+                                                      const double* x, double* y) noexcept {
+  const __m256d a = _mm256_set1_pd(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d y0 =
+        _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_mul_pd(a, _mm256_loadu_pd(x + i)));
+    const __m256d y1 =
+        _mm256_add_pd(_mm256_loadu_pd(y + i + 4), _mm256_mul_pd(a, _mm256_loadu_pd(x + i + 4)));
+    _mm256_storeu_pd(y + i, y0);
+    _mm256_storeu_pd(y + i + 4, y1);
+  }
+  if (i + 4 <= n) {
+    const __m256d y0 =
+        _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_mul_pd(a, _mm256_loadu_pd(x + i)));
+    _mm256_storeu_pd(y + i, y0);
+    i += 4;
+  }
+  for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+__attribute__((target("avx2"))) void rscal_avx2(std::size_t n, double d, double* x) noexcept {
+  const __m256d v = _mm256_set1_pd(d);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(x + i, _mm256_div_pd(_mm256_loadu_pd(x + i), v));
+  for (; i < n; ++i) x[i] /= d;
+}
+
+// Step K of a 16-row unit lower solve on a column held in four registers:
+// rows (K, 16) -= L(K+1:16, K) * x[K]. The register holding row K keeps rows
+// up to K by a blend. K is a template argument so that the lane broadcast
+// and the blend take immediates.
+template <std::size_t K>
+__attribute__((target("avx2"))) inline void trsv16_step(const double* l, std::size_t ldl,
+                                                        __m256d (&x)[4]) noexcept {
+  constexpr std::size_t q = K / 4;
+  constexpr int r = K % 4;
+  const __m256d xk = _mm256_permute4x64_pd(x[q], r * 0x55);
+  const double* lk = l + K * ldl;
+  if constexpr (r < 3) {
+    const __m256d t = _mm256_sub_pd(x[q], _mm256_mul_pd(_mm256_loadu_pd(lk + 4 * q), xk));
+    x[q] = _mm256_blend_pd(x[q], t, (0xF << (r + 1)) & 0xF);
+  }
+#pragma GCC unroll 4
+  for (std::size_t v = q + 1; v < 4; ++v) {
+    x[v] = _mm256_sub_pd(x[v], _mm256_mul_pd(_mm256_loadu_pd(lk + 4 * v), xk));
+  }
+}
+
+template <std::size_t... K>
+__attribute__((target("avx2"))) inline void trsv16(const double* l, std::size_t ldl, double* x,
+                                                   std::index_sequence<K...>) noexcept {
+  __m256d v[4] = {_mm256_loadu_pd(x), _mm256_loadu_pd(x + 4), _mm256_loadu_pd(x + 8),
+                  _mm256_loadu_pd(x + 12)};
+  (trsv16_step<K>(l, ldl, v), ...);
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < 4; ++q) _mm256_storeu_pd(x + 4 * q, v[q]);
+}
+
+// LU's triangular-solve leaves are kLeaf = 16 rows high, so that height gets a
+// register-resident column; other heights run the column loop on axpy.
+__attribute__((target("avx2"))) void trsm_lower_unit_avx2(std::size_t m, std::size_t ncols,
+                                                          const double* l, std::size_t ldl,
+                                                          double* b, std::size_t ldb) noexcept {
+  for (std::size_t j = 0; j < ncols; ++j) {
+    double* x = b + j * ldb;
+    if (m == 16) {
+      trsv16(l, ldl, x, std::make_index_sequence<15>{});
+      continue;
+    }
+    for (std::size_t k = 0; k + 1 < m; ++k) {
+      axpy_avx2(m - k - 1, -x[k], l + k * ldl + k + 1, x + k + 1);
+    }
+  }
+}
+
 #else
 
 bool has_avx2_fma() noexcept { return false; }
+bool has_avx512f() noexcept { return false; }
 
 #endif
+
+// The micro-kernel gemm_update runs: the widest one the CPU has.
+detail::GemmKernel best_kernel() noexcept {
+  static const detail::GemmKernel kernel = has_avx512f()    ? detail::GemmKernel::kAvx512
+                                           : has_avx2_fma() ? detail::GemmKernel::kAvx2Fma
+                                                            : detail::GemmKernel::kPortable;
+  return kernel;
+}
 
 }  // namespace
 
 const char* gemm_isa() noexcept {
+  switch (best_kernel()) {
+    case detail::GemmKernel::kAvx512:
+      return "avx512";
+    case detail::GemmKernel::kAvx2Fma:
+      return "avx2+fma";
+    case detail::GemmKernel::kPortable:
+      break;
+  }
 #if defined(__x86_64__)
-  return has_avx2_fma() ? "avx2+fma" : "sse2";
+  return "sse2";
 #else
   return "portable";
 #endif
@@ -296,29 +453,82 @@ const char* gemm_isa() noexcept {
 namespace detail {
 
 bool gemm_kernel_supported(GemmKernel kernel) noexcept {
-  return kernel == GemmKernel::kPortable || has_avx2_fma();
+  switch (kernel) {
+    case GemmKernel::kAvx512:
+      return has_avx512f();
+    case GemmKernel::kAvx2Fma:
+      return has_avx2_fma();
+    case GemmKernel::kPortable:
+      return true;
+  }
+  return false;
 }
 
 void gemm_update_with(GemmKernel kernel, std::size_t m, std::size_t n, std::size_t k,
                       double alpha, BlockView a, BlockView b, double* c, std::size_t ldc) {
   assert(gemm_kernel_supported(kernel));
+  switch (kernel) {
 #if defined(__x86_64__)
-  if (kernel == GemmKernel::kAvx2Fma) {
-    gemm_blocked<avx2::kMr, avx2::kNr, avx2::micro_kernel>(m, n, k, alpha, a, b, c, ldc);
-    return;
-  }
+    case GemmKernel::kAvx512:
+      gemm_blocked<avx512::kMr, avx512::kNr, avx512::micro_kernel>(m, n, k, alpha, a, b, c, ldc);
+      return;
+    case GemmKernel::kAvx2Fma:
+      gemm_blocked<avx2::kMr, avx2::kNr, avx2::micro_kernel>(m, n, k, alpha, a, b, c, ldc);
+      return;
 #endif
-  gemm_blocked<portable::kMr, portable::kNr, portable::micro_kernel>(m, n, k, alpha, a, b, c,
-                                                                     ldc);
+    default:
+      gemm_blocked<portable::kMr, portable::kNr, portable::micro_kernel>(m, n, k, alpha, a, b,
+                                                                         c, ldc);
+  }
 }
 
 }  // namespace detail
 
 void gemm_update(std::size_t m, std::size_t n, std::size_t k, double alpha, BlockView a,
                  BlockView b, double* c, std::size_t ldc) {
-  detail::gemm_update_with(
-      has_avx2_fma() ? detail::GemmKernel::kAvx2Fma : detail::GemmKernel::kPortable, m, n, k,
-      alpha, a, b, c, ldc);
+  detail::gemm_update_with(best_kernel(), m, n, k, alpha, a, b, c, ldc);
+}
+
+void axpy(std::size_t n, double alpha, const double* x, double* y) noexcept {
+#if defined(__x86_64__)
+  if (has_avx2_fma()) return axpy_avx2(n, alpha, x, y);
+#endif
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+void rscal(std::size_t n, double d, double* x) noexcept {
+#if defined(__x86_64__)
+  if (has_avx2_fma()) return rscal_avx2(n, d, x);
+#endif
+  for (std::size_t i = 0; i < n; ++i) x[i] /= d;
+}
+
+double amax(std::size_t n, const double* x) noexcept {
+  // Four independent chains. A maximum is exact, so how the elements are
+  // grouped cannot change the result; std::max keeps its first argument
+  // when the second is NaN, in every chain alike.
+  double m[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) m[l] = std::max(m[l], std::abs(x[i + l]));
+  }
+  for (; i < n; ++i) m[0] = std::max(m[0], std::abs(x[i]));
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
+void trsm_lower_unit(std::size_t m, std::size_t ncols, const double* l, std::size_t ldl,
+                     double* b, std::size_t ldb) noexcept {
+#if defined(__x86_64__)
+  if (has_avx2_fma()) return trsm_lower_unit_avx2(m, ncols, l, ldl, b, ldb);
+#endif
+  for (std::size_t j = 0; j < ncols; ++j) {
+    double* x = b + j * ldb;
+    for (std::size_t k = 0; k + 1 < m; ++k) {
+      const double xk = x[k];
+      const double* lcol = l + k * ldl;
+      for (std::size_t i = k + 1; i < m; ++i) x[i] -= lcol[i] * xk;
+    }
+  }
 }
 
 void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c) {

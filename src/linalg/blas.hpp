@@ -25,6 +25,19 @@ void scal(double alpha, Vector& x) noexcept;
 /// Index of max |x_i| (0 for empty input).
 std::size_t iamax(const Vector& x) noexcept;
 
+/// y[0:n) += alpha * x[0:n) on raw spans. Each element is one multiply and
+/// one add, never fused, so it rounds exactly as the plain loop does on every
+/// ISA. It runs on AVX2 vectors on CPUs that pass the AVX2 GEMM kernel's
+/// check (AVX2 and FMA).
+void axpy(std::size_t n, double alpha, const double* x, double* y) noexcept;
+
+/// x[0:n) /= d: one correctly rounded division per element, on AVX2 where
+/// axpy runs on it.
+void rscal(std::size_t n, double d, double* x) noexcept;
+
+/// Largest |x_i| over x[0:n), skipping NaN entries (0 for n == 0).
+double amax(std::size_t n, const double* x) noexcept;
+
 // ---- Level 2 ----
 
 /// y = alpha * A x + beta * y
@@ -35,6 +48,14 @@ void gemv_t(double alpha, const Matrix& a, const Vector& x, double beta, Vector&
 
 /// A += alpha * x y^T (rank-1 update)
 void ger(double alpha, const Vector& x, const Vector& y, Matrix& a);
+
+/// B = L^-1 B for the unit lower triangle L of the m×m column-major block at
+/// l (leading dimension ldl; its diagonal and upper part do not count) and the
+/// m×ncols column-major block B at b (leading dimension ldb). Every element
+/// rounds as in the plain column loop, x[i] -= L(i, k) * x[k] for k = 0, 1,
+/// …, like the raw-span axpy; 16-row solves keep each column in registers.
+void trsm_lower_unit(std::size_t m, std::size_t ncols, const double* l, std::size_t ldl,
+                     double* b, std::size_t ldb) noexcept;
 
 // ---- Level 3 ----
 
@@ -55,7 +76,8 @@ void gemm_update(std::size_t m, std::size_t n, std::size_t k, double alpha, Bloc
                  BlockView b, double* c, std::size_t ldc);
 
 /// Instruction set of the micro-kernel gemm_update runs on this host:
-/// "avx2+fma" where the CPU has both, else "sse2" ("portable" off x86-64).
+/// "avx512" where the CPU has AVX-512F, else "avx2+fma" where it has both,
+/// else "sse2" ("portable" off x86-64).
 /// Chosen once per process; benches and the server log it so that kernel
 /// rates from different hosts are never compared as like for like.
 const char* gemm_isa() noexcept;
@@ -64,7 +86,7 @@ namespace detail {
 
 /// The micro-kernels gemm_update can dispatch to. This is a test seam, not
 /// a user option: gemm_update always picks the fastest one the CPU has.
-enum class GemmKernel { kPortable, kAvx2Fma };
+enum class GemmKernel { kPortable, kAvx2Fma, kAvx512 };
 
 /// Whether `kernel` can run on this CPU (kPortable always can).
 bool gemm_kernel_supported(GemmKernel kernel) noexcept;

@@ -11,7 +11,8 @@ namespace {
 
 // Columns per block, the same width as the LU panel.
 constexpr std::size_t kBlock = 64;
-// Width at and below which the panel solve runs as a plain column loop.
+// Width at and below which the panel solve runs as a column loop on the
+// raw-span BLAS kernels (rscal, axpy).
 constexpr std::size_t kLeaf = 16;
 
 // L(r0:n, c0:c1) = A(r0:n, c0:c1) T^-T for the lower triangle T of
@@ -21,14 +22,9 @@ void solve_panel(Matrix& l, std::size_t r0, std::size_t c0, std::size_t c1) {
   const std::size_t n = l.rows();
   if (c1 - c0 <= kLeaf) {
     for (std::size_t j = c0; j < c1; ++j) {
-      double* col = l.col(j);
-      const double ljj = l(j, j);
-      for (std::size_t i = r0; i < n; ++i) col[i] /= ljj;
-      for (std::size_t k = j + 1; k < c1; ++k) {
-        const double lkj = l(k, j);
-        double* dst = l.col(k);
-        for (std::size_t i = r0; i < n; ++i) dst[i] -= col[i] * lkj;
-      }
+      double* col = l.col(j) + r0;
+      rscal(n - r0, l(j, j), col);
+      for (std::size_t k = j + 1; k < c1; ++k) axpy(n - r0, -l(k, j), col, l.col(k) + r0);
     }
     return;
   }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -105,6 +106,78 @@ TEST(BlasTest, Iamax) {
   EXPECT_EQ(iamax(Vector{1, -5, 3}), 1u);
   EXPECT_EQ(iamax(Vector{}), 0u);
   EXPECT_EQ(iamax(Vector{0, 0, 0}), 0u);
+}
+
+// The raw-span kernels under the LU and Cholesky leaves run vector bodies
+// where the CPU has them. Each must round every element exactly as the plain
+// loop it replaced, so each is compared bitwise against that loop, at every
+// length around the vector widths, with a guard element either side.
+const std::size_t kLeafLengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33};
+
+bool same_bits(const Vector& x, const Vector& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(BlasTest, RawAxpyMatchesPlainLoopBitwise) {
+  for (const std::size_t n : kLeafLengths) {
+    Rng rng(100 + n);
+    const Vector x = random_vector(n, rng);
+    const Vector y0 = random_vector(n + 2, rng);
+    const double s = rng.uniform(-3.0, 3.0);
+    Vector plain = y0;
+    for (std::size_t i = 0; i < n; ++i) plain[i + 1] -= x[i] * s;
+    Vector fast = y0;
+    axpy(n, -s, x.data(), fast.data() + 1);
+    EXPECT_TRUE(same_bits(fast, plain)) << "n " << n;
+  }
+}
+
+TEST(BlasTest, RscalMatchesPlainLoopBitwise) {
+  for (const std::size_t n : kLeafLengths) {
+    Rng rng(200 + n);
+    const Vector x0 = random_vector(n + 2, rng);
+    const double d = rng.uniform(0.1, 3.0);
+    Vector plain = x0;
+    for (std::size_t i = 0; i < n; ++i) plain[i + 1] /= d;
+    Vector fast = x0;
+    rscal(n, d, fast.data() + 1);
+    EXPECT_TRUE(same_bits(fast, plain)) << "n " << n;
+  }
+}
+
+TEST(BlasTest, AmaxMatchesPlainLoopBitwise) {
+  for (const std::size_t n : kLeafLengths) {
+    Rng rng(300 + n);
+    Vector x = random_vector(n, rng);
+    if (n > 2) x[n / 2] = std::nan("");  // skipped, as std::max skips it
+    double plain = 0.0;
+    for (const double v : x) plain = std::max(plain, std::abs(v));
+    const double fast = amax(n, x.data());
+    EXPECT_EQ(std::memcmp(&fast, &plain, sizeof fast), 0) << "n " << n;
+  }
+}
+
+TEST(BlasTest, TrsmLowerUnitMatchesPlainLoopBitwise) {
+  // The leaves' own height, 16, has a kernel of its own.
+  std::vector<std::size_t> heights(std::begin(kLeafLengths), std::end(kLeafLengths));
+  heights.insert(heights.end(), {15, 16, 17});
+  for (const std::size_t m : heights) {
+    Rng rng(400 + m);
+    // L inside a taller matrix (leading dimension m + 3); B is three columns
+    // of a matrix with a guard row either side of the m solved rows.
+    const Matrix l = Matrix::random(m + 3, m, rng);
+    const Matrix b0 = Matrix::random(m + 2, 3, rng);
+    Matrix plain = b0;
+    for (std::size_t j = 0; j < 3; ++j) {
+      for (std::size_t k = 0; k < m; ++k) {
+        const double xk = plain(k + 1, j);
+        for (std::size_t i = k + 1; i < m; ++i) plain(i + 1, j) -= l(i, k) * xk;
+      }
+    }
+    Matrix fast = b0;
+    trsm_lower_unit(m, 3, l.data(), l.rows(), fast.data() + 1, fast.rows());
+    EXPECT_TRUE(same_bits(fast.storage(), plain.storage())) << "m " << m;
+  }
 }
 
 // ---- BLAS level 2/3 ----
@@ -245,12 +318,12 @@ TEST(BlasTest, GemmUpdateOnTransposedStridedViews) {
 
 // Each micro-kernel on its own, through the test seam, against a naive
 // triple loop: every host runs the portable kernel, and hosts with AVX2+FMA
-// also run that one, whichever gemm_update would pick.
+// or AVX-512F also run those, whichever gemm_update would pick.
 class GemmKernelTest : public ::testing::TestWithParam<detail::GemmKernel> {
  protected:
   void SetUp() override {
     if (!detail::gemm_kernel_supported(GetParam())) {
-      GTEST_SKIP() << "this CPU lacks AVX2+FMA";
+      GTEST_SKIP() << "this CPU lacks the kernel's instructions";
     }
   }
 
@@ -281,9 +354,9 @@ class GemmKernelTest : public ::testing::TestWithParam<detail::GemmKernel> {
 };
 
 TEST_P(GemmKernelTest, MatchesNaiveLoopAcrossTileAndPanelEdges) {
-  // m and n straddle both tiles (8×4 and 8×6) and the 128-row A block; k
-  // straddles the 256-deep panel pair.
-  const std::size_t sides[] = {1, 5, 7, 9, 13, 130};
+  // m and n straddle every tile (8×4, 8×6 and 16×12) and the 128-row A
+  // block; k straddles the 256-deep panel pair.
+  const std::size_t sides[] = {1, 5, 7, 9, 13, 15, 17, 23, 25, 130};
   const std::size_t depths[] = {1, 255, 256, 257, 300};
   for (const std::size_t m : sides) {
     for (const std::size_t n : sides) {
@@ -350,15 +423,24 @@ TEST_P(GemmKernelTest, ZeroSizedShapesAndZeroAlphaLeaveCUntouched) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, GemmKernelTest,
                          ::testing::Values(detail::GemmKernel::kPortable,
-                                           detail::GemmKernel::kAvx2Fma),
+                                           detail::GemmKernel::kAvx2Fma,
+                                           detail::GemmKernel::kAvx512),
                          [](const ::testing::TestParamInfo<detail::GemmKernel>& info) {
-                           return info.param == detail::GemmKernel::kAvx2Fma ? "Avx2Fma"
-                                                                              : "Portable";
+                           switch (info.param) {
+                             case detail::GemmKernel::kAvx512:
+                               return "Avx512";
+                             case detail::GemmKernel::kAvx2Fma:
+                               return "Avx2Fma";
+                             default:
+                               return "Portable";
+                           }
                          });
 
 TEST(BlasTest, GemmIsaNamesTheKernelGemmUpdateRuns) {
   const std::string isa = gemm_isa();
-  if (detail::gemm_kernel_supported(detail::GemmKernel::kAvx2Fma)) {
+  if (detail::gemm_kernel_supported(detail::GemmKernel::kAvx512)) {
+    EXPECT_EQ(isa, "avx512");
+  } else if (detail::gemm_kernel_supported(detail::GemmKernel::kAvx2Fma)) {
     EXPECT_EQ(isa, "avx2+fma");
   } else {
     EXPECT_TRUE(isa == "sse2" || isa == "portable") << isa;
@@ -444,6 +526,67 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LuPropertyTest,
                                            SolveCase{63, 90}, SolveCase{65, 91},
                                            SolveCase{127, 92}, SolveCase{129, 93},
                                            SolveCase{200, 94}, SolveCase{300, 95}));
+
+// A graded matrix: row i scaled by 2^-(37 i mod 16), so partial pivoting
+// picks rows far from the diagonal.
+Matrix graded_matrix(std::size_t n, Rng& rng) {
+  Matrix a = Matrix::random(n, n, rng);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      a(i, j) = std::ldexp(a(i, j), -static_cast<int>(i * 37 % 16));
+    }
+  }
+  return a;
+}
+
+TEST(LuTest, PrePermutedInputFactorsBitIdentically) {
+  // Every operation of the factorization is local to a row, so once A's rows
+  // are in the order its own pivots chose, factoring again must swap nothing
+  // and give the same bits. Swaps deferred to the wrong columns or applied
+  // in the wrong order break that.
+  for (const std::size_t n : {100, 512, 700}) {
+    for (const bool graded : {false, true}) {
+      Rng rng(n + (graded ? 1 : 0));
+      const Matrix a = graded ? graded_matrix(n, rng) : Matrix::random(n, n, rng);
+      auto lu = LuFactorization::factor(a);
+      ASSERT_TRUE(lu.ok()) << "n " << n << " graded " << graded;
+      std::size_t swaps = 0;
+      for (std::size_t k = 0; k < n; ++k) swaps += lu.value().pivots()[k] != static_cast<int>(k);
+      ASSERT_GT(swaps, n / 2) << "n " << n << " graded " << graded;
+
+      auto again = LuFactorization::factor(permute_rows(a, lu.value().pivots()));
+      ASSERT_TRUE(again.ok());
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(again.value().pivots()[k], static_cast<int>(k)) << "n " << n << " k " << k;
+      }
+      const Matrix& first = lu.value().packed();
+      const Matrix& second = again.value().packed();
+      EXPECT_EQ(std::memcmp(first.data(), second.data(), n * n * sizeof(double)), 0)
+          << "n " << n << " graded " << graded;
+    }
+  }
+}
+
+TEST(LuTest, ResidualAcrossLeafAndPanelEdges) {
+  // Orders on both sides of the 16-column leaf, the 64-column panel and the
+  // kernels' row and column tiles, on pivoting and on non-pivoting systems.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 40; ++n) sizes.push_back(n);
+  for (const std::size_t n : {63, 64, 65, 127, 128, 129, 511, 512, 513}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    for (const bool dominant : {false, true}) {
+      Rng rng(n * 2 + (dominant ? 1 : 0));
+      const Matrix a = dominant ? Matrix::random_diag_dominant(n, rng) : Matrix::random(n, n, rng);
+      const Vector x_true = random_vector(n, rng);
+      Vector b(n, 0.0);
+      gemv(1.0, a, x_true, 0.0, b);
+      auto x = dgesv(a, b);
+      ASSERT_TRUE(x.ok()) << "n " << n << " dominant " << dominant;
+      EXPECT_LT(residual_inf(a, x.value(), b), 1e-12 * a.max_abs() * static_cast<double>(n))
+          << "n " << n << " dominant " << dominant;
+    }
+  }
+}
 
 TEST(LuTest, SingularMatrixRejected) {
   Matrix a(3, 3);  // all zeros
