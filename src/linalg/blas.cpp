@@ -266,8 +266,13 @@ __attribute__((target("avx2,fma"))) void micro_kernel(std::size_t kc, const doub
     _mm256_storeu_pd(tile[j], acc[j][0]);
     _mm256_storeu_pd(tile[j] + 4, acc[j][1]);
   }
+  // The same fused multiply-add as the full-tile write-back, spelled out so
+  // that it does not hang on the compiler contracting a multiply and an add:
+  // edge tiles then round as the AVX-512 kernel's masked write-back does.
   for (std::size_t j = 0; j < cols; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) c[j * ldc + i] += alpha * tile[j][i];
+    for (std::size_t i = 0; i < rows; ++i) {
+      c[j * ldc + i] = std::fma(alpha, tile[j][i], c[j * ldc + i]);
+    }
   }
 }
 
@@ -341,8 +346,8 @@ bool has_avx512f() noexcept {
 // compiled for AVX2 alone, without FMA, so the compiler cannot fuse a
 // multiply into the add after it: every element rounds exactly as the plain
 // loop rounds it, and the results do not depend on the ISA.
-__attribute__((target("avx2"))) inline void axpy_avx2(std::size_t n, double alpha,
-                                                      const double* x, double* y) noexcept {
+__attribute__((target("avx2"))) void axpy_avx2(std::size_t n, double alpha, const double* x,
+                                               double* y) noexcept {
   const __m256d a = _mm256_set1_pd(alpha);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -372,7 +377,7 @@ __attribute__((target("avx2"))) void rscal_avx2(std::size_t n, double d, double*
 // Step K of a 16-row unit lower solve on a column held in four registers:
 // rows (K, 16) -= L(K+1:16, K) * x[K]. The register holding row K keeps rows
 // up to K by a blend. K is a template argument so that the lane broadcast
-// and the blend take immediates.
+// and the blend take immediates. Like axpy_avx2, it is compiled without FMA.
 template <std::size_t K>
 __attribute__((target("avx2"))) inline void trsv16_step(const double* l, std::size_t ldl,
                                                         __m256d (&x)[4]) noexcept {
@@ -390,31 +395,16 @@ __attribute__((target("avx2"))) inline void trsv16_step(const double* l, std::si
   }
 }
 
+// x[0:16) = L^-1 x[0:16) for the unit lower triangle L at l, one column kept
+// in registers through all fifteen steps.
 template <std::size_t... K>
-__attribute__((target("avx2"))) inline void trsv16(const double* l, std::size_t ldl, double* x,
-                                                   std::index_sequence<K...>) noexcept {
+__attribute__((target("avx2"))) void trsv16(const double* l, std::size_t ldl, double* x,
+                                            std::index_sequence<K...>) noexcept {
   __m256d v[4] = {_mm256_loadu_pd(x), _mm256_loadu_pd(x + 4), _mm256_loadu_pd(x + 8),
                   _mm256_loadu_pd(x + 12)};
   (trsv16_step<K>(l, ldl, v), ...);
 #pragma GCC unroll 4
   for (std::size_t q = 0; q < 4; ++q) _mm256_storeu_pd(x + 4 * q, v[q]);
-}
-
-// LU's triangular-solve leaves are kLeaf = 16 rows high, so that height gets a
-// register-resident column; other heights run the column loop on axpy.
-__attribute__((target("avx2"))) void trsm_lower_unit_avx2(std::size_t m, std::size_t ncols,
-                                                          const double* l, std::size_t ldl,
-                                                          double* b, std::size_t ldb) noexcept {
-  for (std::size_t j = 0; j < ncols; ++j) {
-    double* x = b + j * ldb;
-    if (m == 16) {
-      trsv16(l, ldl, x, std::make_index_sequence<15>{});
-      continue;
-    }
-    for (std::size_t k = 0; k + 1 < m; ++k) {
-      axpy_avx2(m - k - 1, -x[k], l + k * ldl + k + 1, x + k + 1);
-    }
-  }
 }
 
 #else
@@ -504,30 +494,23 @@ void rscal(std::size_t n, double d, double* x) noexcept {
 }
 
 double amax(std::size_t n, const double* x) noexcept {
-  // Four independent chains. A maximum is exact, so how the elements are
-  // grouped cannot change the result; std::max keeps its first argument
-  // when the second is NaN, in every chain alike.
-  double m[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t l = 0; l < 4; ++l) m[l] = std::max(m[l], std::abs(x[i + l]));
-  }
-  for (; i < n; ++i) m[0] = std::max(m[0], std::abs(x[i]));
-  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+  // std::max keeps its first argument when the second is NaN.
+  double m = 0.0;
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::abs(x[i]));
+  return m;
 }
 
 void trsm_lower_unit(std::size_t m, std::size_t ncols, const double* l, std::size_t ldl,
                      double* b, std::size_t ldb) noexcept {
-#if defined(__x86_64__)
-  if (has_avx2_fma()) return trsm_lower_unit_avx2(m, ncols, l, ldl, b, ldb);
-#endif
   for (std::size_t j = 0; j < ncols; ++j) {
     double* x = b + j * ldb;
-    for (std::size_t k = 0; k + 1 < m; ++k) {
-      const double xk = x[k];
-      const double* lcol = l + k * ldl;
-      for (std::size_t i = k + 1; i < m; ++i) x[i] -= lcol[i] * xk;
+#if defined(__x86_64__)
+    if (m == 16 && has_avx2_fma()) {
+      trsv16(l, ldl, x, std::make_index_sequence<15>{});
+      continue;
     }
+#endif
+    for (std::size_t k = 0; k + 1 < m; ++k) axpy(m - k - 1, -x[k], l + k * ldl + k + 1, x + k + 1);
   }
 }
 

@@ -51,9 +51,10 @@ void ger(double alpha, const Vector& x, const Vector& y, Matrix& a);
 
 /// B = L^-1 B for the unit lower triangle L of the m×m column-major block at
 /// l (leading dimension ldl; its diagonal and upper part do not count) and the
-/// m×ncols column-major block B at b (leading dimension ldb). Every element
-/// rounds as in the plain column loop, x[i] -= L(i, k) * x[k] for k = 0, 1,
-/// …, like the raw-span axpy; 16-row solves keep each column in registers.
+/// m×ncols column-major block B at b (leading dimension ldb): the column loop
+/// x[k+1:m) -= L(k+1:m, k) * x[k] on the raw-span axpy, so every element rounds
+/// as in the plain loop. Where axpy runs on AVX2, a 16-row solve (LU's leaf
+/// height) keeps each column in registers instead of making fifteen calls.
 void trsm_lower_unit(std::size_t m, std::size_t ncols, const double* l, std::size_t ldl,
                      double* b, std::size_t ldb) noexcept;
 

@@ -158,7 +158,7 @@ TEST(BlasTest, AmaxMatchesPlainLoopBitwise) {
 }
 
 TEST(BlasTest, TrsmLowerUnitMatchesPlainLoopBitwise) {
-  // The leaves' own height, 16, has a kernel of its own.
+  // The leaves' own height, 16, runs in registers where axpy runs on AVX2.
   std::vector<std::size_t> heights(std::begin(kLeafLengths), std::end(kLeafLengths));
   heights.insert(heights.end(), {15, 16, 17});
   for (const std::size_t m : heights) {
@@ -435,6 +435,35 @@ INSTANTIATE_TEST_SUITE_P(Kernels, GemmKernelTest,
                                return "Portable";
                            }
                          });
+
+TEST(BlasTest, FmaKernelsAgreeBitwise) {
+  // Both FMA kernels sum each element of C in the same order and write it
+  // back with one fused multiply-add, full and edge tiles alike, so on a host
+  // with both their results match bit for bit.
+  if (!detail::gemm_kernel_supported(detail::GemmKernel::kAvx512) ||
+      !detail::gemm_kernel_supported(detail::GemmKernel::kAvx2Fma)) {
+    GTEST_SKIP() << "this CPU lacks one of the kernels' instructions";
+  }
+  const std::size_t sides[] = {1, 7, 15, 16, 17, 25, 130};
+  const std::size_t depths[] = {1, 257};
+  for (const std::size_t m : sides) {
+    for (const std::size_t n : sides) {
+      for (const std::size_t k : depths) {
+        Rng rng(m * 131 + n * 17 + k);
+        const Matrix a = Matrix::random(m, k, rng);
+        const Matrix b = Matrix::random(k, n, rng);
+        Matrix c_avx2 = Matrix::random(m, n, rng);
+        Matrix c_avx512 = c_avx2;
+        detail::gemm_update_with(detail::GemmKernel::kAvx2Fma, m, n, k, 0.37, {a.data(), 1, m},
+                                 {b.data(), 1, k}, c_avx2.data(), m);
+        detail::gemm_update_with(detail::GemmKernel::kAvx512, m, n, k, 0.37, {a.data(), 1, m},
+                                 {b.data(), 1, k}, c_avx512.data(), m);
+        EXPECT_TRUE(same_bits(c_avx2.storage(), c_avx512.storage()))
+            << "m " << m << " n " << n << " k " << k;
+      }
+    }
+  }
+}
 
 TEST(BlasTest, GemmIsaNamesTheKernelGemmUpdateRuns) {
   const std::string isa = gemm_isa();
