@@ -195,7 +195,7 @@ void Agent::sync_loop() {
     proto::SyncState state;
     state.entries = registry_.snapshot_for_sync();
     if (state.entries.empty()) continue;
-    const serial::Bytes payload = encode_payload(state);
+    const serial::Payload payload = encode_payload(state);
     for (const auto& peer : peer_endpoints()) {
       // Snapshots ride the keep-alive pool: one warm connection per peer
       // instead of a dial per period. A down peer fails the dial and is

@@ -20,15 +20,18 @@ namespace {
 using proto::MessageType;
 
 /// `extra` goes to the message's encode(): a SolveRequest takes the
-/// caller's arguments there, so the request itself never copies them.
-serial::Bytes encode_payload(const auto& msg, const auto&... extra) {
-  serial::Encoder enc;
+/// caller's arguments there, so the request itself never copies them. The
+/// encode gathers: bulk arrays are borrowed, not copied, which holds because
+/// every send of these payloads is synchronous and the caller's arguments
+/// outlive it.
+serial::Payload encode_payload(const auto& msg, const auto&... extra) {
+  serial::Encoder enc = serial::Encoder::gathering();
   msg.encode(enc, extra...);
-  return enc.take();
+  return enc.take_payload();
 }
 
 Result<net::Message> round_trip(const net::Endpoint& peer, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout,
+                                const serial::Payload& payload, double timeout,
                                 double connect_timeout = 5.0) {
   return net::pool_round_trip(peer, type, payload, timeout, std::min(timeout, connect_timeout));
 }
@@ -96,7 +99,7 @@ class HedgeRace {
 
   /// Send the SolveRequest `payload` to `cand` over its mux channel.
   Slot& launch(const proto::ServerCandidate& cand, double start, double timeout,
-               const serial::Bytes& payload, const net::LinkShape& link) {
+               const serial::Payload& payload, const net::LinkShape& link) {
     Slot& slot = slots_[launched_++];
     slot.race = this;
     slot.candidate = cand;
@@ -245,7 +248,7 @@ void NetSolveClient::note_agent_result(std::size_t index, bool ok) {
 }
 
 Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
-                                                      const serial::Bytes& payload,
+                                                      const serial::Payload& payload,
                                                       double timeout) {
   if (config_.agents.empty()) {
     return make_error(ErrorCode::kAgentUnavailable, "no agents configured");
@@ -272,7 +275,7 @@ Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
   return last_error;
 }
 
-void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Bytes& payload) {
+void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Payload& payload) {
   const auto order = agent_order();
   if (order.empty()) return;
   const std::size_t index = order.front();

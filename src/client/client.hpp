@@ -264,11 +264,11 @@ class NetSolveClient {
   void note_agent_result(std::size_t index, bool ok);
   /// Round-trip against the first agent that answers, failing over down the
   /// ordered list (client.agent_failover_total counts rescued operations).
-  Result<net::Message> agent_round_trip(std::uint16_t type, const serial::Bytes& payload,
+  Result<net::Message> agent_round_trip(std::uint16_t type, const serial::Payload& payload,
                                         double timeout);
   /// Fire-and-forget to the first agent not in cooldown (reports are advice;
   /// they are not worth connect timeouts against dead agents).
-  void post_to_agent(std::uint16_t type, const serial::Bytes& payload);
+  void post_to_agent(std::uint16_t type, const serial::Payload& payload);
 
   ClientConfig config_;
   std::atomic<std::uint64_t> next_request_id_{1};

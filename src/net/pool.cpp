@@ -12,7 +12,6 @@
 #include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
-#include "serial/crc32.hpp"
 #include "serial/frame.hpp"
 
 namespace ns::net {
@@ -265,7 +264,7 @@ void MuxChannel::poison(const Error& why) {
   for (const auto& [key, done] : orphans) done->complete(why);
 }
 
-void MuxChannel::start(std::uint16_t request_type, const serial::Bytes& payload,
+void MuxChannel::start(std::uint16_t request_type, const serial::Payload& payload,
                        std::uint16_t reply_type, std::uint64_t request_id,
                        MuxCompletion* done, const LinkShape& shape) {
   {
@@ -299,7 +298,7 @@ bool MuxChannel::withdraw(std::uint64_t request_id, std::uint16_t reply_type,
   return true;
 }
 
-Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes& payload,
+Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Payload& payload,
                                  std::uint16_t reply_type, std::uint64_t request_id,
                                  double timeout_s, const LinkShape& shape) {
   // The caller's own condition variable: a reply wakes exactly this caller.
@@ -370,7 +369,7 @@ void MuxChannel::reader_loop() {
     msg.type = header.value().type;
     try {
       mem::alloc_trip("net.mux_read");
-      msg.payload.resize(header.value().length);
+      msg.payload.reserve(header.value().length);
     } catch (const std::bad_alloc&) {
       // Allocation pressure is retryable overload, not peer failure: pending
       // callers back off and redial instead of tearing the process down.
@@ -379,23 +378,10 @@ void MuxChannel::reader_loop() {
                         "allocation failed buffering mux frame"));
       return;
     }
-    // The CRC folds in each piece while it is still in cache, so a complete
-    // body needs no second pass.
-    std::uint32_t crc = serial::frame_crc_begin(msg.type, header.value().length);
-    std::size_t got = 0;
-    while (got < msg.payload.size()) {
-      const std::size_t chunk = std::min<std::size_t>(64 * 1024, msg.payload.size() - got);
-      auto body_read = conn_.recv_all(msg.payload.data() + got, chunk,
-                                      kMidFrameProgressTimeout);
-      if (!body_read.ok()) {
-        poison(body_read.error());
-        return;
-      }
-      crc = serial::crc32_update(crc, msg.payload.data() + got, chunk);
-      got += chunk;
-    }
-    if (auto checked = serial::check_frame_crc(header.value(), crc); !checked.ok()) {
-      poison(checked.error());
+    if (auto body = recv_body(conn_, header.value(), msg.payload,
+                              [] { return kMidFrameProgressTimeout; });
+        !body.ok()) {
+      poison(body.error());
       return;
     }
 
@@ -420,7 +406,7 @@ void MuxChannel::reader_loop() {
 // ---- helpers ----
 
 Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout_s,
+                                const serial::Payload& payload, double timeout_s,
                                 double dial_timeout_s, const LinkShape& shape) {
   auto lease = ConnectionPool::instance().lease(remote, dial_timeout_s);
   if (!lease.ok()) return lease.error();
@@ -439,7 +425,7 @@ Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
   return reply;
 }
 
-Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Payload& payload,
                  double dial_timeout_s, const LinkShape& shape) {
   auto lease = ConnectionPool::instance().lease(remote, dial_timeout_s);
   if (!lease.ok()) return lease.error();

@@ -106,11 +106,13 @@ class MuxChannel {
   ~MuxChannel();
 
   /// Register `done` for the reply whose (type, request_id) matches, then
-  /// send the request frame. Concurrent calls interleave on the socket. A
+  /// send the request frame. The send is synchronous (under the channel's
+  /// send lock), so `payload`'s borrowed arrays need only outlive this call.
+  /// Concurrent calls interleave on the socket. A
   /// null `done` registers nothing: the request is sent and any reply is
   /// read and dropped whole. Transport errors poison the channel (every
   /// registered completion fails, callers redial through the pool).
-  void start(std::uint16_t request_type, const serial::Bytes& payload,
+  void start(std::uint16_t request_type, const serial::Payload& payload,
              std::uint16_t reply_type, std::uint64_t request_id, MuxCompletion* done,
              const LinkShape& shape = LinkShape::unshaped());
 
@@ -122,7 +124,7 @@ class MuxChannel {
 
   /// Synchronous start(): wait up to `timeout_s` for the reply, then
   /// withdraw and fail with kTimeout.
-  Result<Message> call(std::uint16_t request_type, const serial::Bytes& payload,
+  Result<Message> call(std::uint16_t request_type, const serial::Payload& payload,
                        std::uint16_t reply_type, std::uint64_t request_id,
                        double timeout_s, const LinkShape& shape = LinkShape::unshaped());
 
@@ -196,13 +198,13 @@ class ConnectionPool {
 /// One-request/one-reply over a pooled lease. Dial-on-miss, strict
 /// drain-or-discard on any failure. `expect_type` 0 accepts any reply type.
 Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout_s,
+                                const serial::Payload& payload, double timeout_s,
                                 double dial_timeout_s,
                                 const LinkShape& shape = LinkShape::unshaped());
 
 /// Fire-and-forget over a pooled lease (the peer never replies on this
 /// exchange, so the stream stays clean for the next leaseholder).
-Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Payload& payload,
                  double dial_timeout_s, const LinkShape& shape = LinkShape::unshaped());
 
 }  // namespace ns::net

@@ -45,82 +45,73 @@ Endpoint endpoint_from(const sockaddr_in& addr) {
 
 // ---- ReactorConn ----
 
-Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkShape& shape) {
+Status ReactorConn::send(std::uint16_t type, serial::Payload payload, const LinkShape& shape) {
   if (closing_.load(std::memory_order_acquire)) {
     return make_error(ErrorCode::kConnectionClosed, "reactor connection closed");
   }
 
+  // What the queued chunks point into: the header and the payload, whose
+  // owner keeps its borrowed arrays alive, or a whole faulted frame.
+  struct OutFrame {
+    std::uint8_t header[serial::kHeaderSize];
+    serial::Payload bytes;
+  };
+  auto frame = std::make_shared<OutFrame>();
+  std::vector<Chunk> chunks;
+  const auto add_chunk = [&chunks, &frame](const std::uint8_t* data, std::size_t size) {
+    chunks.push_back(Chunk{data, size, 0, 0.0, frame});
+  };
+
   // Fault parity with net::send_message: same armed() fast path, same
-  // peer-then-local plan lookup, same per-mode failure surface.
-  std::optional<FaultMode> fault;
-  serial::Bytes faulted_frame;
+  // peer-then-local plan lookup, same per-mode failure surface. A plan
+  // edits the frame's bytes, so it works on one flattened copy.
+  bool faulted = false;
+  bool close_after = false;
+  Status result = ok_status();
   if (FaultInjector::instance().armed()) {
-    faulted_frame = serial::build_frame(type, payload);
+    serial::Bytes faulted_frame = serial::build_frame(type, payload);
     auto& injector = FaultInjector::instance();
-    fault = injector.on_send(peer_, type, faulted_frame.data(), faulted_frame.size());
+    auto fault = injector.on_send(peer_, type, faulted_frame.data(), faulted_frame.size());
     if (!fault) {
       fault = injector.on_send(local_, type, faulted_frame.data(), faulted_frame.size());
     }
-  }
-
-  std::vector<Chunk> chunks;
-  bool close_after = false;
-  Status result = ok_status();
-  if (fault) {
-    switch (*fault) {
-      case FaultMode::kReset:
-      case FaultMode::kPartition: {
-        // Half a frame then a hard close, exactly like a mid-flight RST.
-        Chunk c;
-        c.data.assign(faulted_frame.begin(),
-                      faulted_frame.begin() +
-                          static_cast<std::ptrdiff_t>(faulted_frame.size() / 2));
-        chunks.push_back(std::move(c));
-        close_after = true;
-        result = make_error(ErrorCode::kConnectionClosed,
-                            std::string("injected ") +
-                                std::string(fault_mode_name(*fault)) + " on send");
-        break;
+    if (fault && *fault != FaultMode::kConnectRefused) {  // connect-only, never for sends
+      faulted = true;
+      switch (*fault) {
+        case FaultMode::kReset:
+        case FaultMode::kPartition:
+          // Half a frame then a hard close, exactly like a mid-flight RST.
+          faulted_frame.resize(faulted_frame.size() / 2);
+          close_after = true;
+          result = make_error(ErrorCode::kConnectionClosed,
+                              std::string("injected ") +
+                                  std::string(fault_mode_name(*fault)) + " on send");
+          break;
+        case FaultMode::kStall:
+          // Partial frame then silence; the peer's read timeout surfaces it.
+          faulted_frame.resize(faulted_frame.size() > 1 ? faulted_frame.size() / 2 : 1);
+          break;
+        case FaultMode::kCorrupt:
+          // Bytes already flipped in place; deliver the damaged frame whole
+          // and let the CRC catch it on the far side.
+          break;
+        case FaultMode::kConnectRefused:
+          break;  // filtered above
       }
-      case FaultMode::kStall: {
-        // Partial frame then silence; the peer's read timeout surfaces it.
-        const std::size_t partial =
-            faulted_frame.size() > 1 ? faulted_frame.size() / 2 : 1;
-        Chunk c;
-        c.data.assign(faulted_frame.begin(),
-                      faulted_frame.begin() + static_cast<std::ptrdiff_t>(partial));
-        chunks.push_back(std::move(c));
-        break;
-      }
-      case FaultMode::kCorrupt: {
-        // Bytes already flipped in place; deliver the damaged frame whole and
-        // let the CRC catch it on the far side.
-        Chunk c;
-        c.data = std::move(faulted_frame);
-        chunks.push_back(std::move(c));
-        break;
-      }
-      case FaultMode::kConnectRefused:
-        fault.reset();  // connect-only, never returned for sends
-        break;
+      frame->bytes = std::move(faulted_frame);
     }
   }
-  if (chunks.empty()) {
-    // Normal path: header and payload stay separate chunks; the flush path
-    // gathers them into one writev (scatter-gather, no frame assembly copy).
-    Chunk head;
-    head.data.resize(serial::kHeaderSize);
-    serial::encode_frame_header(type, payload, head.data.data());
-    chunks.push_back(std::move(head));
-    if (!payload.empty()) {
-      Chunk body;
-      body.data = std::move(payload);
-      chunks.push_back(std::move(body));
-    }
+  if (!faulted) {
+    // Normal path: the header and each payload piece stay separate chunks;
+    // the write path gathers them into one sendmsg (no frame assembly copy).
+    serial::encode_frame_header(type, payload, frame->header);
+    frame->bytes = std::move(payload);
+    add_chunk(frame->header, serial::kHeaderSize);
   }
+  frame->bytes.for_each_piece(add_chunk);
 
   std::size_t total = 0;
-  for (const auto& c : chunks) total += c.data.size();
+  for (const auto& c : chunks) total += c.size;
 
   bool queued_behind = false;
   {
@@ -154,22 +145,17 @@ Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkSh
                          shape.bandwidth_Bps > 0;
       // Subdivide large chunks so pacing is smooth (shaped_send uses 64 KiB).
       std::vector<Chunk> paced_chunks;
-      for (auto& c : chunks) {
-        std::size_t off = 0;
-        while (off < c.data.size()) {
-          const std::size_t n = std::min(kShapeChunk, c.data.size() - off);
-          Chunk piece;
-          piece.data.assign(c.data.begin() + static_cast<std::ptrdiff_t>(off),
-                            c.data.begin() + static_cast<std::ptrdiff_t>(off + n));
-          paced_chunks.push_back(std::move(piece));
-          off += n;
+      for (const auto& c : chunks) {
+        for (std::size_t off = 0; off < c.size; off += kShapeChunk) {
+          paced_chunks.push_back(
+              Chunk{c.data + off, std::min(kShapeChunk, c.size - off), 0, 0.0, c.keep});
         }
       }
       std::size_t sent_before = 0;
       for (auto& c : paced_chunks) {
         c.not_before = base + shape.latency_s +
                        (paced ? static_cast<double>(sent_before) / shape.bandwidth_Bps : 0.0);
-        sent_before += c.data.size();
+        sent_before += c.size;
         wrq_.push_back(std::move(c));
       }
       pace_until_ = base + shape.latency_s +
@@ -181,16 +167,18 @@ Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkSh
       // Fast path: the queue is idle, write straight from the handler thread.
       iovec iov[kMaxIov];
       int iovcnt = 0;
+      std::size_t batched = 0;
       for (const auto& c : chunks) {
-        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(c.data.data());
-        iov[iovcnt].iov_len = c.data.size();
+        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(c.data);
+        iov[iovcnt].iov_len = c.size;
+        batched += c.size;
         if (++iovcnt == kMaxIov) break;
       }
       msghdr msg{};
       msg.msg_iov = iov;
       msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
       std::size_t written = 0;
-      while (written < total) {
+      while (written < batched) {
         const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
         if (n < 0) {
           if (errno == EINTR) continue;
@@ -214,11 +202,12 @@ Status ReactorConn::send(std::uint16_t type, serial::Bytes payload, const LinkSh
         }
       }
       if (written < total) {
-        // Socket buffer full: queue the remainder for the reactor.
+        // Socket buffer full, or more chunks than one sendmsg takes: queue
+        // the remainder for the reactor.
         std::size_t skip = written;
         for (auto& c : chunks) {
-          if (skip >= c.data.size()) {
-            skip -= c.data.size();
+          if (skip >= c.size) {
+            skip -= c.size;
             continue;
           }
           c.offset = skip;
@@ -793,8 +782,8 @@ double Reactor::flush_writes(const ReactorConnPtr& conn) {
       std::size_t batched = 0;
       for (const auto& c : conn->wrq_) {
         if (c.not_before > now) break;
-        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(c.data.data()) + c.offset;
-        iov[iovcnt].iov_len = c.data.size() - c.offset;
+        iov[iovcnt].iov_base = const_cast<std::uint8_t*>(c.data) + c.offset;
+        iov[iovcnt].iov_len = c.size - c.offset;
         batched += iov[iovcnt].iov_len;
         if (++iovcnt == kMaxIov) break;
       }
@@ -819,7 +808,7 @@ double Reactor::flush_writes(const ReactorConnPtr& conn) {
       std::size_t left = static_cast<std::size_t>(n);
       while (left > 0 && !conn->wrq_.empty()) {
         auto& front = conn->wrq_.front();
-        const std::size_t remain = front.data.size() - front.offset;
+        const std::size_t remain = front.size - front.offset;
         if (left >= remain) {
           left -= remain;
           conn->wrq_.pop_front();

@@ -10,9 +10,10 @@
 // a thread, and an accepted-but-idle keep-alive connection costs one fd and
 // two small buffers.
 //
-// Writes are buffered per connection and flushed with writev scatter-gather
-// (frame header and payload are separate iovecs — no per-send frame
-// assembly copy). Handlers call ReactorConn::send() from pool threads; the
+// Writes are buffered per connection and flushed with sendmsg scatter-gather
+// (the frame header and each payload piece, borrowed arrays included, are
+// separate iovecs — no per-send frame assembly copy). Handlers call
+// ReactorConn::send() from pool threads; the
 // fast path writes directly to the socket when the queue is empty, the slow
 // path queues and lets the reactor finish under EPOLLOUT. Link shaping is
 // honoured by stamping each queued chunk with a release time (token-bucket
@@ -117,9 +118,11 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
   /// Queue one framed message. Thread-safe; applies armed fault plans and
   /// link shaping. Fails with kConnectionClosed once the connection is
   /// closing (handlers treat that like the old synchronous send failing).
-  /// Takes the payload by value: it becomes the queued body chunk as is, so
-  /// a caller that passes a temporary never has its payload copied.
-  Status send(std::uint16_t type, serial::Bytes payload,
+  /// Takes the payload by value: its pieces become the queued chunks as
+  /// they are, so a caller that passes a temporary never has its payload
+  /// copied. A part of the frame still queued when this returns keeps the
+  /// payload, and so its owner, alive until it is written or dropped.
+  Status send(std::uint16_t type, serial::Payload payload,
               const LinkShape& shape = LinkShape::unshaped());
 
   /// Close after flushing queued writes; pending reads are dropped.
@@ -133,10 +136,14 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  private:
   friend class Reactor;
 
+  /// One queued piece of an outgoing frame: `size` bytes at `data`, valid
+  /// while `keep` (the frame the piece belongs to) lives.
   struct Chunk {
-    serial::Bytes data;
+    const std::uint8_t* data = nullptr;
+    std::size_t size = 0;
     std::size_t offset = 0;
     double not_before = 0.0;  // monotonic seconds; 0 = immediately
+    std::shared_ptr<const void> keep;
   };
 
   explicit ReactorConn(Reactor* reactor, int fd) : reactor_(reactor), fd_(fd) {}

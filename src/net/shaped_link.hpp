@@ -53,9 +53,4 @@ struct LinkShape {
 Status shaped_send(TcpConnection& conn, const void* data, std::size_t size,
                    const LinkShape& shape);
 
-/// shaped_send of `head` followed by `body` as one transfer: one latency
-/// sleep and one token bucket across both, written without joining them.
-Status shaped_send(TcpConnection& conn, const void* head, std::size_t head_size,
-                   const void* body, std::size_t body_size, const LinkShape& shape);
-
 }  // namespace ns::net

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
+#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -98,17 +99,19 @@ void TcpConnection::shutdown_both() noexcept {
 }
 
 Status TcpConnection::send_all(const void* data, std::size_t size) {
-  return send_all(data, size, nullptr, 0);
+  iovec iov{const_cast<void*>(data), size};
+  return send_all(&iov, 1);
 }
 
-Status TcpConnection::send_all(const void* head, std::size_t head_size, const void* body,
-                               std::size_t body_size) {
-  iovec iov[2]{};
-  msghdr msg{};
-  msg.msg_iov = iov;
-  if (head_size > 0) iov[msg.msg_iovlen++] = {const_cast<void*>(head), head_size};
-  if (body_size > 0) iov[msg.msg_iovlen++] = {const_cast<void*>(body), body_size};
-  while (msg.msg_iovlen > 0) {
+Status TcpConnection::send_all(iovec* iov, std::size_t count) {
+  while (count > 0 && iov->iov_len == 0) {
+    ++iov;
+    --count;
+  }
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = std::min<std::size_t>(count, IOV_MAX);
     const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -116,14 +119,14 @@ Status TcpConnection::send_all(const void* head, std::size_t head_size, const vo
     }
     // Advance past what the kernel took; a partial write can end mid-iovec.
     auto left = static_cast<std::size_t>(n);
-    while (left > 0) {
-      const std::size_t step = std::min(left, msg.msg_iov[0].iov_len);
-      msg.msg_iov[0].iov_base = static_cast<std::uint8_t*>(msg.msg_iov[0].iov_base) + step;
-      msg.msg_iov[0].iov_len -= step;
+    while (count > 0 && (left > 0 || iov->iov_len == 0)) {
+      const std::size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + step;
+      iov->iov_len -= step;
       left -= step;
-      if (msg.msg_iov[0].iov_len == 0) {
-        ++msg.msg_iov;
-        --msg.msg_iovlen;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
       }
     }
   }

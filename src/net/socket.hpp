@@ -3,6 +3,8 @@
 // top, not from faking the sockets themselves.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -65,10 +67,10 @@ class TcpConnection {
   /// Write the entire buffer; fails on peer reset.
   Status send_all(const void* data, std::size_t size);
 
-  /// Write `head` then `body` as one stream with gathered sendmsg calls, so
-  /// a frame header and its payload never need a contiguous copy.
-  Status send_all(const void* head, std::size_t head_size, const void* body,
-                  std::size_t body_size);
+  /// Write the `count` pieces as one stream with gathered sendmsg calls, so
+  /// a frame header and its payload pieces never need a contiguous copy.
+  /// Advances `iov` past what was written.
+  Status send_all(iovec* iov, std::size_t count);
 
   /// Read exactly `size` bytes, waiting up to `timeout_secs` for each chunk.
   /// kConnectionClosed on orderly shutdown, kTimeout on inactivity.

@@ -1,8 +1,12 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
+
+#include "common/clock.hpp"
 #include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
+#include "serial/crc32.hpp"
 
 namespace ns::net {
 
@@ -27,12 +31,13 @@ Result<std::optional<FaultMode>> roll_send_fault(TcpConnection& conn, std::uint1
   return std::optional<FaultMode>{};
 }
 
-/// send_message with a fault plan armed: the plan flips bytes in place, so
-/// the frame is assembled into one buffer before the roll.
-Status send_faultable(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
-                      const LinkShape& shape) {
-  serial::Bytes frame = serial::build_frame(type, payload);
-  auto fault = roll_send_fault(conn, type, frame);
+/// send_message of a flattened frame: an armed fault plan flips its bytes
+/// in place, and link shaping paces it out in timed pieces.
+Status send_frame(TcpConnection& conn, std::uint16_t type, serial::Bytes frame,
+                  const LinkShape& shape) {
+  auto fault = FaultInjector::instance().armed()
+                   ? roll_send_fault(conn, type, frame)
+                   : Result<std::optional<FaultMode>>(std::optional<FaultMode>{});
   if (!fault.ok()) return fault.error();
   if (fault.value()) {
     switch (*fault.value()) {
@@ -69,14 +74,20 @@ Status send_faultable(TcpConnection& conn, std::uint16_t type, const serial::Byt
 
 }  // namespace
 
-Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
+Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Payload& payload,
                     const LinkShape& shape) {
-  if (FaultInjector::instance().armed()) return send_faultable(conn, type, payload, shape);
-  // Header and payload leave in one gathered write; the payload is never
-  // copied into a frame buffer.
+  if (FaultInjector::instance().armed() || !shape.is_unshaped()) {
+    return send_frame(conn, type, serial::build_frame(type, payload), shape);
+  }
+  // The header and every payload piece leave in one gathered write; no
+  // byte is copied into a frame buffer.
   std::uint8_t header[serial::kHeaderSize];
   serial::encode_frame_header(type, payload, header);
-  return shaped_send(conn, header, sizeof(header), payload.data(), payload.size(), shape);
+  std::vector<iovec> iov{{header, sizeof(header)}};
+  payload.for_each_piece([&iov](const std::uint8_t* p, std::size_t n) {
+    iov.push_back({const_cast<std::uint8_t*>(p), n});
+  });
+  return conn.send_all(iov.data(), iov.size());
 }
 
 serial::Bytes encode_busy_payload(double retry_after_s) {
@@ -110,16 +121,30 @@ Result<Message> recv_message(TcpConnection& conn, double timeout_secs,
   msg.type = header.value().type;
   try {
     mem::alloc_trip("net.recv");
-    msg.payload.resize(header.value().length);
+    msg.payload.reserve(header.value().length);
   } catch (const std::bad_alloc&) {
     metrics::counter("mem.bad_alloc_total").inc();
     return make_error(ErrorCode::kServerOverloaded, "allocation failed buffering frame");
   }
-  if (header.value().length > 0) {
-    NS_RETURN_IF_ERROR(conn.recv_all(msg.payload.data(), msg.payload.size(), timeout_secs));
-  }
-  NS_RETURN_IF_ERROR(serial::check_payload(header.value(), msg.payload));
+  const Deadline deadline(timeout_secs);
+  NS_RETURN_IF_ERROR(recv_body(conn, header.value(), msg.payload,
+                               [&deadline] { return deadline.remaining(); }));
   return msg;
+}
+
+Status recv_body(TcpConnection& conn, const serial::FrameHeader& header,
+                 serial::Bytes& payload, const std::function<double()>& chunk_timeout_s) {
+  constexpr std::size_t kChunk = 64 * 1024;
+  std::uint32_t crc = serial::frame_crc_begin(header.type, header.length);
+  payload.clear();
+  while (payload.size() < header.length) {
+    const std::size_t got = payload.size();
+    const std::size_t chunk = std::min<std::size_t>(kChunk, header.length - got);
+    payload.resize(got + chunk);  // within the reserved capacity
+    NS_RETURN_IF_ERROR(conn.recv_all(payload.data() + got, chunk, chunk_timeout_s()));
+    crc = serial::crc32_update(crc, payload.data() + got, chunk);
+  }
+  return serial::check_frame_crc(header, crc);
 }
 
 }  // namespace ns::net

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "common/error.hpp"
 #include "net/shaped_link.hpp"
@@ -39,8 +40,11 @@ double decode_busy_retry_after(const serial::Bytes& payload, double fallback = 0
 /// one bad header cannot take out the process.
 inline constexpr std::size_t kClientMaxFrameBytes = 256u << 20;  // 256 MiB
 
-/// Serialize `payload` under `type` and send it as one frame, shaped.
-Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
+/// Send `payload` under `type` as one frame, shaped. Unshaped and with no
+/// fault plan armed, the header and every payload piece leave in one
+/// gathered write, straight from where they lie; fault plans and pacing
+/// work on one flattened copy of the frame.
+Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Payload& payload,
                     const LinkShape& shape = LinkShape::unshaped());
 
 /// Receive one complete frame; validates magic, version, size and CRC.
@@ -48,5 +52,14 @@ Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes
 /// in net.guard.oversized_total) before any buffering.
 Result<Message> recv_message(TcpConnection& conn, double timeout_secs,
                              std::size_t max_payload = kClientMaxFrameBytes);
+
+/// Receive the body of the frame `header` introduced into `payload`, whose
+/// capacity the caller reserved at its own allocation-fault site. The
+/// payload grows just ahead of each chunk as it arrives, so no cold
+/// whole-frame zero-fill precedes the bytes, and the frame CRC folds in
+/// while each chunk is still in cache. `chunk_timeout_s()` bounds the wait
+/// for each chunk.
+Status recv_body(TcpConnection& conn, const serial::FrameHeader& header,
+                 serial::Bytes& payload, const std::function<double()>& chunk_timeout_s);
 
 }  // namespace ns::net

@@ -1,6 +1,65 @@
 #include "serial/codec.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+
 namespace ns::serial {
+
+namespace {
+
+/// The `count` little-endian T values at `src`, which can sit at any byte
+/// offset. They are staged through a small buffer with memcpy, so the
+/// vector is allocated once and written once, with no zero-fill first and
+/// no misaligned T loads.
+template <typename T>
+std::vector<T> le_array(const std::uint8_t* src, std::size_t count) {
+  std::vector<T> out;
+  out.reserve(count);
+  T stage[4096 / sizeof(T)]{};
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t n = std::min(count - done, std::size(stage));
+    std::memcpy(stage, src + done * sizeof(T), n * sizeof(T));
+    out.insert(out.end(), stage, stage + n);
+    done += n;
+  }
+  return out;
+}
+
+}  // namespace
+
+Bytes Payload::flatten() const {
+  if (spans_.empty()) return inline_;
+  Bytes out;
+  out.reserve(size());
+  for_each_piece([&out](const std::uint8_t* p, std::size_t n) { out.insert(out.end(), p, p + n); });
+  return out;
+}
+
+Bytes Encoder::take() {
+  if (spans_.empty()) return std::move(buf_);
+  return take_payload().flatten();
+}
+
+Payload Encoder::take_payload(std::shared_ptr<const void> owner) {
+  Payload out;
+  out.inline_ = std::move(buf_);
+  out.spans_ = std::move(spans_);
+  out.borrowed_ = std::exchange(borrowed_, 0);
+  out.owner_ = std::move(owner);
+  buf_.clear();
+  spans_.clear();
+  return out;
+}
+
+void Encoder::append_array(const void* data, std::size_t size) {
+  if (gather_ && size >= kBorrowMinBytes) {
+    spans_.push_back({buf_.size(), static_cast<const std::uint8_t*>(data), size});
+    borrowed_ += size;
+    return;
+  }
+  append(data, size);
+}
 
 void Encoder::append(const void* data, std::size_t size) {
   // insert() copies once into the grown tail; resize() + memcpy would
@@ -22,7 +81,7 @@ void Encoder::put_bytes(const void* data, std::size_t size) {
 void Encoder::put_f64_array(const double* data, std::size_t count) {
   put_u32(static_cast<std::uint32_t>(count));
   if constexpr (std::endian::native == std::endian::little) {
-    append(data, count * sizeof(double));
+    append_array(data, count * sizeof(double));
   } else {
     for (std::size_t i = 0; i < count; ++i) put_f64(data[i]);
   }
@@ -31,7 +90,7 @@ void Encoder::put_f64_array(const double* data, std::size_t count) {
 void Encoder::put_i32_array(const std::int32_t* data, std::size_t count) {
   put_u32(static_cast<std::uint32_t>(count));
   if constexpr (std::endian::native == std::endian::little) {
-    append(data, count * sizeof(std::int32_t));
+    append_array(data, count * sizeof(std::int32_t));
   } else {
     for (std::size_t i = 0; i < count; ++i) put_i32(data[i]);
   }
@@ -97,10 +156,11 @@ Result<std::vector<double>> Decoder::get_f64_array(std::size_t max_count) {
   if (count.value() > max_count) return make_error(ErrorCode::kProtocol, "array too long");
   const std::size_t bytes = static_cast<std::size_t>(count.value()) * sizeof(double);
   if (remaining() < bytes) return make_error(ErrorCode::kProtocol, "truncated f64 array");
-  std::vector<double> out(count.value());
+  std::vector<double> out;
   if constexpr (std::endian::native == std::endian::little) {
-    if (count.value() > 0) std::memcpy(out.data(), data_ + pos_, bytes);
+    out = le_array<double>(data_ + pos_, count.value());
   } else {
+    out.resize(count.value());
     for (std::size_t i = 0; i < count.value(); ++i) {
       std::uint64_t bits = 0;
       for (std::size_t b = 0; b < 8; ++b) {
@@ -119,10 +179,11 @@ Result<std::vector<std::int32_t>> Decoder::get_i32_array(std::size_t max_count) 
   if (count.value() > max_count) return make_error(ErrorCode::kProtocol, "array too long");
   const std::size_t bytes = static_cast<std::size_t>(count.value()) * sizeof(std::int32_t);
   if (remaining() < bytes) return make_error(ErrorCode::kProtocol, "truncated i32 array");
-  std::vector<std::int32_t> out(count.value());
+  std::vector<std::int32_t> out;
   if constexpr (std::endian::native == std::endian::little) {
-    if (count.value() > 0) std::memcpy(out.data(), data_ + pos_, bytes);
+    out = le_array<std::int32_t>(data_ + pos_, count.value());
   } else {
+    out.resize(count.value());
     for (std::size_t i = 0; i < count.value(); ++i) {
       std::uint32_t bits = 0;
       for (std::size_t b = 0; b < 4; ++b) {

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,9 +23,67 @@ namespace ns::serial {
 
 using Bytes = std::vector<std::uint8_t>;
 
+/// A gathering encoder borrows each f64/i32 array of at least this many
+/// bytes instead of copying it; smaller arrays are cheaper to copy than to
+/// send as a piece of their own.
+inline constexpr std::size_t kBorrowMinBytes = 16 * 1024;
+
+/// One frame payload: inline bytes with borrowed arrays spliced in at
+/// recorded offsets. A plain Bytes is the payload with no borrowed spans.
+/// Borrowed bytes must stay valid for as long as the payload is sent: a
+/// synchronous sender's caller keeps them alive, and a queued sender keeps
+/// the payload's owner.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(Bytes bytes) noexcept : inline_(std::move(bytes)) {}  // NOLINT: a plain payload
+
+  /// Total payload bytes, inline and borrowed.
+  std::size_t size() const noexcept { return inline_.size() + borrowed_; }
+
+  /// Calls `piece(const std::uint8_t*, std::size_t)` for each non-empty
+  /// piece, in wire order.
+  template <typename F>
+  void for_each_piece(F&& piece) const {
+    std::size_t at = 0;
+    for (const Span& s : spans_) {
+      if (s.at > at) piece(inline_.data() + at, s.at - at);
+      piece(s.data, s.size);
+      at = s.at;
+    }
+    if (inline_.size() > at) piece(inline_.data() + at, inline_.size() - at);
+  }
+
+  /// The payload as one contiguous buffer (a copy of every piece).
+  Bytes flatten() const;
+
+ private:
+  friend class Encoder;
+  struct Span {
+    std::size_t at;  // inline offset the borrowed bytes follow
+    const std::uint8_t* data;
+    std::size_t size;
+  };
+
+  Bytes inline_;
+  std::vector<Span> spans_;
+  std::size_t borrowed_ = 0;
+  std::shared_ptr<const void> owner_;  // keeps the borrowed bytes alive
+};
+
 class Encoder {
  public:
+  /// Contiguous: every byte is copied into one buffer.
   Encoder() = default;
+  /// Borrows arrays of at least kBorrowMinBytes (on little-endian hosts,
+  /// where their bytes are already the wire bytes); take_payload() then
+  /// hands them on as spans. For encodes that are sent and dropped, never
+  /// for bytes kept at rest.
+  static Encoder gathering() {
+    Encoder enc;
+    enc.gather_ = true;
+    return enc;
+  }
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_u16(std::uint16_t v) { put_le(v); }
@@ -46,11 +105,19 @@ class Encoder {
   void put_i32_array(const std::int32_t* data, std::size_t count);
   void put_i32_array(const std::vector<std::int32_t>& v) { put_i32_array(v.data(), v.size()); }
 
+  /// The encoded bytes of a contiguous encoder.
   const Bytes& bytes() const noexcept { return buf_; }
-  Bytes take() noexcept { return std::move(buf_); }
-  std::size_t size() const noexcept { return buf_.size(); }
-  void reserve(std::size_t n) { buf_.reserve(n); }
-  void clear() noexcept { buf_.clear(); }
+  /// The encoded bytes as one buffer (borrowed arrays copied in).
+  Bytes take();
+  /// The encoded payload; `owner`, if set, keeps the borrowed arrays alive
+  /// for as long as the payload is.
+  Payload take_payload(std::shared_ptr<const void> owner = nullptr);
+  std::size_t size() const noexcept { return buf_.size() + borrowed_; }
+  /// Reserves room for `n` bytes. A gathering encoder's inline part holds
+  /// no bulk arrays, so it skips the reservation and grows as needed.
+  void reserve(std::size_t n) {
+    if (!gather_) buf_.reserve(n);
+  }
 
  private:
   template <typename T>
@@ -62,8 +129,14 @@ class Encoder {
   }
   /// Append raw bytes to the buffer.
   void append(const void* data, std::size_t size);
+  /// Append a little-endian array's bytes: borrowed when gathering and
+  /// large enough, copied otherwise.
+  void append_array(const void* data, std::size_t size);
 
   Bytes buf_;
+  bool gather_ = false;
+  std::vector<Payload::Span> spans_;
+  std::size_t borrowed_ = 0;
 };
 
 class Decoder {

@@ -17,8 +17,15 @@ std::uint32_t frame_crc_begin(std::uint16_t type, std::uint32_t length) {
 
 namespace {
 
-std::uint32_t frame_crc(std::uint16_t type, std::uint32_t length, const Bytes& payload) {
-  return crc32_final(crc32_update(frame_crc_begin(type, length), payload.data(), payload.size()));
+FrameHeader payload_header(std::uint16_t type, const Payload& payload) {
+  FrameHeader header;
+  header.type = type;
+  header.length = static_cast<std::uint32_t>(payload.size());
+  std::uint32_t crc = frame_crc_begin(type, header.length);
+  payload.for_each_piece(
+      [&crc](const std::uint8_t* p, std::size_t n) { crc = crc32_update(crc, p, n); });
+  header.crc = crc32_final(crc);
+  return header;
 }
 
 }  // namespace
@@ -66,26 +73,19 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
   return header;
 }
 
-Bytes build_frame(std::uint16_t type, const Bytes& payload) {
-  FrameHeader header;
-  header.type = type;
-  header.length = static_cast<std::uint32_t>(payload.size());
-  header.crc = frame_crc(type, header.length, payload);
-  Bytes frame(kHeaderSize + payload.size());
-  encode_header(header, frame.data());
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderSize, payload.data(), payload.size());
-  }
+Bytes build_frame(std::uint16_t type, const Payload& payload) {
+  Bytes frame;
+  frame.reserve(kHeaderSize + payload.size());
+  frame.resize(kHeaderSize);
+  encode_header(payload_header(type, payload), frame.data());
+  payload.for_each_piece(
+      [&frame](const std::uint8_t* p, std::size_t n) { frame.insert(frame.end(), p, p + n); });
   return frame;
 }
 
-void encode_frame_header(std::uint16_t type, const Bytes& payload,
+void encode_frame_header(std::uint16_t type, const Payload& payload,
                          std::uint8_t out[kHeaderSize]) {
-  FrameHeader header;
-  header.type = type;
-  header.length = static_cast<std::uint32_t>(payload.size());
-  header.crc = frame_crc(type, header.length, payload);
-  encode_header(header, out);
+  encode_header(payload_header(type, payload), out);
 }
 
 Status check_payload(const FrameHeader& header, const Bytes& payload) {

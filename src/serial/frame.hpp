@@ -48,14 +48,16 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
                                   std::size_t max_payload = kMaxPayload);
 
 /// Build a complete frame (header + payload) for a message type. Only paths
-/// that must edit the frame bytes (fault injection) need this copy.
-Bytes build_frame(std::uint16_t type, const Bytes& payload);
+/// that must edit or pace the frame bytes (fault injection, link shaping)
+/// need this copy.
+Bytes build_frame(std::uint16_t type, const Payload& payload);
 
-/// Write just the kHeaderSize header (with the CRC computed over type +
-/// length + payload) for a frame whose payload will travel as a separate
-/// buffer — both send paths (net::send_message and the reactor) send header
-/// and payload as two iovecs instead of assembling a contiguous frame copy.
-void encode_frame_header(std::uint16_t type, const Bytes& payload,
+/// Write just the kHeaderSize header (with the CRC folded over type +
+/// length + each payload piece in order) for a frame whose payload travels
+/// as separate buffers — both send paths (net::send_message and the
+/// reactor) send the header and the payload's pieces as one iovec list
+/// instead of assembling a contiguous frame copy.
+void encode_frame_header(std::uint16_t type, const Payload& payload,
                          std::uint8_t out[kHeaderSize]);
 
 /// Validate a payload against its header's CRC.

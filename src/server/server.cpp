@@ -31,6 +31,16 @@ serial::Bytes encode_payload(const auto& msg) {
   return enc.take();
 }
 
+/// A finished job's reply, gathered: its output arrays go out straight from
+/// the shared result, which the payload keeps alive for as long as any of
+/// the frame is still queued — past the result's eviction from the stored
+/// results, if it comes to that.
+serial::Payload encode_reply(std::shared_ptr<const proto::SolveResult> result) {
+  serial::Encoder enc = serial::Encoder::gathering();
+  result->encode(enc);
+  return enc.take_payload(std::move(result));
+}
+
 // The control-message shape: decode a `Req`, hand it to `handle`, send what
 // it returns as `reply_type`. A payload that does not decode is a protocol
 // violation and drops the connection.
@@ -634,7 +644,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
                           : 0.0);
   auto reply = run_job(job, since_receipt);
   if (!reply) return false;  // stopping or crashed: no reply leaves
-  return conn->send(solve_result, encode_payload(*reply), config_.link).ok();
+  return conn->send(solve_result, encode_reply(std::move(reply)), config_.link).ok();
 }
 
 std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
@@ -997,7 +1007,8 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     // before tripping its token. Ship the latest checkpoint to a peer; on
     // success the reply becomes kMigrated + a forwarding address instead
     // of a bare cancel, and no compute is lost.
-    if (job->migrate.load() && config_.migrate_on_drain && !crash_mode_.load()) {
+    if (job->migrate.load() && config_.migrate_on_drain && !crash_mode_.load() &&
+        !stopping_.load()) {
       (void)migrate_job(*job, result);
     }
   } else {
@@ -1005,7 +1016,12 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     result.error_code = static_cast<std::uint16_t>(outputs.error().code);
     result.error_message = outputs.error().message;
   }
-  if (crash_mode_.load()) {
+  // stop() trips running jobs as crash() does. A job it unwound ends like a
+  // queued job at stop: no terminal record, so replay resumes it from its
+  // last checkpoint, and no reply.
+  const bool unwound_by_stop = stopping_.load() && !outputs.ok() &&
+                               outputs.error().code == ErrorCode::kCancelled;
+  if (crash_mode_.load() || unwound_by_stop) {
     // Crashed mid-execution: the journal is frozen and the reply must not
     // leave — to the outside world this job died with the process. The
     // byte account is process memory, not durable state, so it is still
@@ -2005,13 +2021,9 @@ void ComputeServer::crash() {
   }
   crash_mode_.store(true);
   crashed_.store(true);
-  // Trip every in-flight job so kernels unwind promptly; with crash_mode_
-  // set their replies and terminal records are suppressed, so to clients
-  // and to the journal the process simply went dark mid-write.
-  {
-    std::lock_guard<std::mutex> lock(active_jobs_mu_);
-    for (auto& [id, job] : active_jobs_) job->token.cancel();
-  }
+  // stop() trips every in-flight job so kernels unwind promptly; with
+  // crash_mode_ set their replies and terminal records are suppressed, so to
+  // clients and to the journal the process simply went dark mid-write.
   stop();
 }
 
@@ -2117,6 +2129,12 @@ void ComputeServer::stop() {
   // threads, or the join deadlocks. Once the join returns, no job of this
   // server is still running.
   stopping_.store(true);
+  // Running jobs unwind at their next kernel checkpoint instead of being
+  // waited out; run_job suppresses their replies and terminal records.
+  {
+    std::lock_guard<std::mutex> lock(active_jobs_mu_);
+    for (auto& [id, job] : active_jobs_) job->token.cancel();
+  }
   wake_queued_jobs();
   reactor_.stop();
   listener_.close();  // only still bound if start() failed before the reactor adopted it

@@ -318,6 +318,50 @@ TEST(DurableTest, StopWaitsForRecoveredJob) {
       << "the recovered job completed after stop() returned";
 }
 
+// stop() trips running jobs' cancel tokens, as crash() does, so a stop no
+// longer waits out a long kernel. The job it unwinds leaves no terminal
+// record and no reply, so the next incarnation replays it, resumes it from
+// its last checkpoint and completes it.
+TEST(DurableTest, StopCancelsRunningJobAndRestartResumesIt) {
+  TempDir data;
+  testkit::ClusterConfig config;
+  config.rating_base = 500.0;
+  testkit::ClusterServerSpec spec;
+  spec.name = "server0";
+  spec.workers = 1;
+  spec.slowdown_mode = server::SlowdownMode::kSleep;
+  spec.data_dir = data.path;
+  config.servers = {spec};
+  config.io_timeout_s = 30.0;
+  auto cluster = testkit::TestCluster::start(config);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
+
+  // simwork(1500) at rating 500 = ~3 s of sliced sleep, one checkpoint
+  // every 25 Mflop. Stop once a few checkpoints are on disk.
+  auto conn = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  ASSERT_TRUE(send_solve(conn.value(), 4101, 1500).ok());
+  ASSERT_TRUE(eventually([&] { return probed_iteration(endpoint, 4101) >= 100; }, 10.0))
+      << "the solve never got past its first checkpoints";
+
+  auto& completed = metrics::counter("server.completed_total");
+  const auto before_stop = completed.value();
+  const Stopwatch stop_watch;
+  cluster.value()->kill_server(0);
+  EXPECT_LT(stop_watch.elapsed(), 1.0) << "stop() waited out the running kernel";
+  EXPECT_EQ(completed.value(), before_stop) << "the unwound job counted as completed";
+
+  ASSERT_TRUE(cluster.value()->restart_server(0).ok());
+  auto& revived = cluster.value()->server(0);
+  EXPECT_EQ(revived.jobs_recovered(), 1u);
+  auto result = client::wait_for_job(endpoint, 4101, /*budget_s=*/30.0);
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  EXPECT_EQ(result.value().error_code, 0u) << result.value().error_message;
+  EXPECT_GE(revived.jobs_resumed(), 1u);
+  EXPECT_GE(revived.last_resume_iteration(), 75u) << "resumed from scratch, not a checkpoint";
+}
+
 // ---- satellite: netslpr/netslwt against a long-running solve ----
 
 TEST(DurableTest, ProbeAndWaitObserveALongSolve) {

@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "dsl/value.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/sparse.hpp"
+#include "proto/messages.hpp"
 #include "serial/codec.hpp"
 #include "serial/crc32.hpp"
 #include "serial/frame.hpp"
@@ -648,6 +655,149 @@ TEST(FrameStreamTest, FuzzedDamageMidStreamFailsCleanly) {
     EXPECT_LE(got.size(), static_cast<std::size_t>(frame_count));
   }
   EXPECT_GT(clean_failures, 100) << "most flips must be detected, not absorbed";
+}
+
+// ---- gathered payloads ----
+
+/// The frame a gathered send writes: the header, then every piece in order.
+Bytes gathered_frame(std::uint16_t type, const Payload& payload, std::size_t* pieces) {
+  Bytes frame(kHeaderSize);
+  encode_frame_header(type, payload, frame.data());
+  *pieces = 0;
+  payload.for_each_piece([&](const std::uint8_t* p, std::size_t n) {
+    frame.insert(frame.end(), p, p + n);
+    ++*pieces;
+  });
+  return frame;
+}
+
+/// A CSR matrix with `nnz` rows of one entry each: indptr holds nnz + 1
+/// i32s, indices nnz i32s and values nnz f64s.
+linalg::CsrMatrix diagonal_csr(std::size_t nnz, Rng& rng) {
+  std::vector<std::int32_t> indptr(nnz + 1), indices(nnz);
+  for (std::size_t i = 0; i <= nnz; ++i) indptr[i] = static_cast<std::int32_t>(i);
+  for (std::size_t i = 0; i < nnz; ++i) indices[i] = static_cast<std::int32_t>(i % 7);
+  auto csr = linalg::CsrMatrix::from_csr(nnz, 7, std::move(indptr), std::move(indices),
+                                         linalg::random_vector(nnz, rng));
+  EXPECT_TRUE(csr.ok());
+  return std::move(csr).value();
+}
+
+// A gathered encode borrows each array of at least kBorrowMinBytes, and the
+// frame it sends is byte for byte the frame of the contiguous encode: for
+// every DataType, in a request and in a result, with each array kind just
+// below, at and just above the borrow size.
+TEST(GatherTest, GatheredFramesMatchContiguousFramesForEveryDataType) {
+  Rng rng(2203);
+  const std::size_t f64_at = kBorrowMinBytes / sizeof(double);
+  const std::size_t i32_at = kBorrowMinBytes / sizeof(std::int32_t);
+  for (const std::size_t n : {f64_at - 1, f64_at, f64_at + 1, i32_at - 2, i32_at - 1, i32_at}) {
+    SCOPED_TRACE(n);
+    const bool f64_borrowed = n * sizeof(double) >= kBorrowMinBytes;
+    auto args = dsl::make_args(
+        dsl::DataObject::from_int(-42), dsl::DataObject(2.5), dsl::DataObject(std::string("tag")),
+        dsl::DataObject(linalg::random_vector(n, rng)),
+        dsl::DataObject(linalg::Matrix::random(n, 1, rng)), dsl::DataObject(diagonal_csr(n, rng)));
+    ASSERT_EQ(args.size(), 6u);
+
+    proto::SolveRequest request;
+    request.request_id = 0x1122334455667788ull;
+    request.problem = "gather";
+    request.deadline_s = 1.5;
+    request.args = args;
+    proto::SolveResult result;
+    result.request_id = request.request_id;
+    result.outputs = std::move(args);
+    result.exec_seconds = 0.25;
+    result.migrated_host = "10.0.0.9";
+
+    const auto check = [&](std::uint16_t type, const auto& msg) {
+      Encoder contiguous;
+      msg.encode(contiguous);
+      const Bytes flat = contiguous.take();
+      Encoder gathering = Encoder::gathering();
+      msg.encode(gathering);
+      EXPECT_EQ(gathering.size(), flat.size());
+      const Payload payload = gathering.take_payload();
+      ASSERT_EQ(payload.size(), flat.size());
+
+      std::size_t pieces = 0;
+      EXPECT_EQ(gathered_frame(type, payload, &pieces), build_frame(type, flat));
+      EXPECT_EQ(build_frame(type, payload), build_frame(type, flat));
+      EXPECT_EQ(payload.flatten(), flat);
+      // Below the borrow size every array is copied inline; from it on, at
+      // least the f64 arrays travel as pieces of their own.
+      if (f64_borrowed) {
+        EXPECT_GE(pieces, 7u);
+      } else if (n < i32_at - 1) {
+        EXPECT_EQ(pieces, 1u);
+      }
+    };
+    check(static_cast<std::uint16_t>(proto::MessageType::kSolveRequest), request);
+    check(static_cast<std::uint16_t>(proto::MessageType::kSolveResult), result);
+  }
+}
+
+// A plain Bytes is the payload with no borrowed spans: one piece, the same
+// frame, and a gathering encoder with nothing to borrow yields the same.
+TEST(GatherTest, PlainBytesArePayloadsOfOnePiece) {
+  const std::string text = "NetSolve frame";
+  const Payload payload(Bytes(text.begin(), text.end()));
+  std::size_t pieces = 0;
+  EXPECT_EQ(gathered_frame(42, payload, &pieces), build_frame(42, payload.flatten()));
+  EXPECT_EQ(pieces, 1u);
+  EXPECT_EQ(gathered_frame(42, Payload(), &pieces), build_frame(42, Bytes{}));
+  EXPECT_EQ(pieces, 0u);
+
+  Encoder enc = Encoder::gathering();
+  enc.put_string(text);
+  enc.put_f64_array(std::vector<double>(kBorrowMinBytes / sizeof(double) - 1, 1.0));
+  EXPECT_EQ(enc.bytes().size(), enc.size()) << "an array below the borrow size was borrowed";
+}
+
+// The decoder builds each array straight from the payload bytes, which can
+// sit at any offset: every element is loaded whole and bit-exact (NaN
+// payloads, signed zeros, subnormals), with no misaligned loads. The UBSan
+// lane runs this.
+TEST(GatherTest, ArraysAtEveryByteOffsetDecodeBitExactly) {
+  std::vector<double> doubles = {0.0,
+                                 -0.0,
+                                 1.0,
+                                 -1.5,
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity(),
+                                 std::numeric_limits<double>::denorm_min(),
+                                 std::numeric_limits<double>::max(),
+                                 std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeefULL}),
+                                 std::bit_cast<double>(std::uint64_t{0xfff0000000000001ULL})};
+  Rng rng(2204);
+  const auto bulk = linalg::random_vector(kBorrowMinBytes / sizeof(double) + 3, rng);
+  doubles.insert(doubles.end(), bulk.begin(), bulk.end());
+  const std::vector<std::int32_t> ints = {0, -1, std::numeric_limits<std::int32_t>::min(),
+                                          std::numeric_limits<std::int32_t>::max(), 0x01020304};
+
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    SCOPED_TRACE(offset);
+    Encoder enc;
+    for (std::size_t i = 0; i < offset; ++i) enc.put_u8(0xcc);
+    enc.put_f64_array(doubles);
+    enc.put_u8(0x5a);  // shifts the i32 array off the f64 array's alignment
+    enc.put_i32_array(ints);
+    const Bytes bytes = enc.take();
+
+    Decoder dec(bytes.data() + offset, bytes.size() - offset);
+    auto got_doubles = dec.get_f64_array();
+    ASSERT_TRUE(got_doubles.ok());
+    ASSERT_EQ(got_doubles.value().size(), doubles.size());
+    EXPECT_EQ(std::memcmp(got_doubles.value().data(), doubles.data(),
+                          doubles.size() * sizeof(double)),
+              0);
+    ASSERT_TRUE(dec.get_u8().ok());
+    auto got_ints = dec.get_i32_array();
+    ASSERT_TRUE(got_ints.ok());
+    EXPECT_EQ(got_ints.value(), ints);
+    EXPECT_TRUE(dec.expect_exhausted().ok());
+  }
 }
 
 }  // namespace

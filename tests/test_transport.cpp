@@ -839,6 +839,263 @@ TEST(ScatterSendTest, ShapedLanSendTakesBandwidthPlusLatency) {
   EXPECT_LE(send_s, predicted * 3.0) << "shaped send paced far too slowly";
 }
 
+// ---- gathered (borrowed) payloads ----
+
+/// A payload of exactly `size` bytes whose bulk travels borrowed from
+/// `arrays`, which must outlive every send of it: the echo id and a zero
+/// sleep, an f64 array, one inline byte, an i32 array, then up to three
+/// tail bytes. Sizes too small for two borrowed arrays stay inline.
+struct Gathered {
+  std::shared_ptr<std::pair<std::vector<double>, std::vector<std::int32_t>>> arrays;
+  serial::Payload payload;
+};
+
+Gathered gathered_payload(std::uint64_t id, std::size_t size) {
+  Gathered g;
+  constexpr std::size_t kFixed = 16 + 4 + 1 + 4;
+  if (size < kFixed + 2 * serial::kBorrowMinBytes) {
+    g.payload = sized_payload(id, size);
+    return g;
+  }
+  const std::size_t bulk = size - kFixed;
+  const std::size_t doubles = bulk / 2 / sizeof(double);
+  const std::size_t ints = (bulk - doubles * sizeof(double)) / sizeof(std::int32_t);
+  const std::size_t tail = bulk - doubles * sizeof(double) - ints * sizeof(std::int32_t);
+  g.arrays = std::make_shared<std::pair<std::vector<double>, std::vector<std::int32_t>>>();
+  for (std::size_t i = 0; i < doubles; ++i) {
+    g.arrays->first.push_back(static_cast<double>(id) + 0.5 * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < ints; ++i) {
+    g.arrays->second.push_back(static_cast<std::int32_t>(id * 131 + i));
+  }
+  auto enc = serial::Encoder::gathering();
+  enc.put_u64(id);
+  enc.put_u64(0);  // no sleep
+  enc.put_f64_array(g.arrays->first);
+  enc.put_u8(0x3c);
+  enc.put_i32_array(g.arrays->second);
+  for (std::size_t i = 0; i < tail; ++i) enc.put_u8(static_cast<std::uint8_t>(0xe0 + i));
+  g.payload = enc.take_payload(g.arrays);
+  EXPECT_EQ(g.payload.size(), size);
+  std::size_t pieces = 0;
+  g.payload.for_each_piece([&pieces](const std::uint8_t*, std::size_t) { ++pieces; });
+  EXPECT_GE(pieces, 4u) << "the arrays of a " << size << " B payload were not borrowed";
+  return g;
+}
+
+/// Request for GatherServer: an echo id, no sleep, and the reply size.
+serial::Bytes gather_request(std::uint64_t id, std::size_t reply_size) {
+  serial::Bytes payload = make_payload(id, 0.0, 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload[16 + i] = static_cast<std::uint8_t>(reply_size >> (8 * i));
+  }
+  return payload;
+}
+
+/// Reactor that answers each kEchoReq with gathered_payload(id, size),
+/// sent with `shape`. The handler drops its own reference to the borrowed
+/// arrays as soon as send() returns, so whatever of the reply is still
+/// queued lives on the payload's owner alone; `last_arrays()` watches it.
+class GatherServer {
+ public:
+  explicit GatherServer(LinkShape shape = LinkShape::unshaped()) {
+    auto listener = TcpListener::bind({"127.0.0.1", 0});
+    EXPECT_TRUE(listener.ok());
+    endpoint_ = listener.value().endpoint();
+    auto status = reactor_.start(
+        std::move(listener).value(),
+        [this, shape](const ReactorConnPtr& conn, Message&& msg) {
+          if (msg.type != kEchoReq || msg.payload.size() != 24) return false;
+          std::uint64_t size = 0;
+          for (std::size_t i = 0; i < 8; ++i) {
+            size |= static_cast<std::uint64_t>(msg.payload[16 + i]) << (8 * i);
+          }
+          Status sent = ok_status();
+          {
+            Gathered reply = gathered_payload(payload_id(msg.payload), size);
+            {
+              std::lock_guard lock(mu_);
+              last_arrays_ = reply.arrays;
+            }
+            sent = conn->send(kEchoRep, std::move(reply.payload), shape);
+          }
+          replies_.fetch_add(1);
+          return sent.ok();
+        },
+        ReactorConfig{});
+    EXPECT_TRUE(status.ok());
+  }
+
+  ~GatherServer() {
+    reactor_.stop();
+    ConnectionPool::instance().clear();
+    FaultInjector::instance().disarm_all();
+  }
+
+  const Endpoint& endpoint() const { return endpoint_; }
+  Reactor& reactor() { return reactor_; }
+  /// Replies whose handler has returned (and dropped its arrays).
+  std::uint64_t replies() const { return replies_.load(); }
+  bool last_arrays_alive() {
+    std::lock_guard lock(mu_);
+    return !last_arrays_.expired();
+  }
+
+ private:
+  Endpoint endpoint_;
+  Reactor reactor_;
+  std::mutex mu_;
+  std::weak_ptr<const void> last_arrays_;
+  std::atomic<std::uint64_t> replies_{0};
+};
+
+// send_message writes a borrowed payload straight from its arrays: every
+// size arrives at the reactor, and echoes back, as the flattened bytes.
+TEST(ScatterSendTest, GatheredSendMessageRoundTripsEverySize) {
+  EchoServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  std::uint64_t id = 300;
+  for (const std::size_t size : kScatterSizes) {
+    const Gathered g = gathered_payload(++id, size);
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, g.payload).ok()) << size;
+    auto reply = recv_message(conn.value(), 10.0);
+    ASSERT_TRUE(reply.ok()) << size << ": " << reply.error().to_string();
+    EXPECT_TRUE(reply.value().payload == g.payload.flatten()) << "payload of " << size << " B";
+  }
+}
+
+// ReactorConn::send queues a borrowed reply's pieces as they are; both
+// receive paths (recv_message and the mux reader) get the flattened bytes.
+TEST(ScatterSendTest, GatheredReactorSendRoundTripsEverySize) {
+  GatherServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  auto channel = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(channel.ok());
+  std::uint64_t id = 400;
+  for (const std::size_t size : kScatterSizes) {
+    if (size < 8) continue;  // the reply must carry its id to demux
+    ++id;
+    const serial::Bytes expected = gathered_payload(id, size).payload.flatten();
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, gather_request(id, size)).ok());
+    auto reply = recv_message(conn.value(), 10.0);
+    ASSERT_TRUE(reply.ok()) << size << ": " << reply.error().to_string();
+    EXPECT_TRUE(reply.value().payload == expected) << "payload of " << size << " B";
+
+    auto muxed = channel.value()->call(kEchoReq, gather_request(id, size), kEchoRep, id, 10.0);
+    ASSERT_TRUE(muxed.ok()) << size << ": " << muxed.error().to_string();
+    EXPECT_TRUE(muxed.value().payload == expected) << "muxed payload of " << size << " B";
+  }
+  EXPECT_TRUE(channel.value()->healthy());
+}
+
+// The armed-corrupt path flattens a borrowed payload before damaging it:
+// the receiver sees kCorruptFrame, then the intact frame once disarmed.
+TEST(ScatterSendTest, ArmedCorruptOnGatheredSendMessageSurfacesCorruptFrame) {
+  auto listener = TcpListener::bind({"127.0.0.1", 0});
+  ASSERT_TRUE(listener.ok());
+  const Endpoint ep = listener.value().endpoint();
+  FaultInjector::instance().arm(ep, corrupt_only(kEchoReq));
+  const Gathered g = gathered_payload(17, (64u << 10) + 1);
+
+  std::thread sender([ep, &g] {
+    auto conn = TcpConnection::connect(ep);
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, g.payload).ok());
+    FaultInjector::instance().disarm_all();
+    ASSERT_TRUE(send_message(conn.value(), kEchoReq, g.payload).ok());
+  });
+  auto conn = listener.value().accept(2.0);
+  ASSERT_TRUE(conn.ok());
+  auto damaged = recv_message(conn.value(), 5.0);
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.error().code, ErrorCode::kCorruptFrame);
+  auto intact = recv_message(conn.value(), 5.0);
+  sender.join();
+  ASSERT_TRUE(intact.ok()) << intact.error().to_string();
+  EXPECT_TRUE(intact.value().payload == g.payload.flatten());
+  FaultInjector::instance().disarm_all();
+}
+
+// The same for a borrowed reactor reply.
+TEST(ScatterSendTest, ArmedCorruptOnGatheredReactorSendSurfacesCorruptFrame) {
+  GatherServer server;
+  FaultInjector::instance().arm(server.endpoint(), corrupt_only(kEchoRep));
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(send_message(conn.value(), kEchoReq, gather_request(18, (64u << 10) + 1)).ok());
+  auto reply = recv_message(conn.value(), 5.0);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::kCorruptFrame);
+}
+
+// Shaped sends flatten a borrowed payload and pace the copy: the transfer
+// takes at least the link's predicted time and arrives intact, from
+// send_message and from a paced reactor reply alike.
+TEST(ScatterSendTest, ShapedGatheredSendsArriveIntact) {
+  const LinkShape lan = LinkShape::lan();
+  const std::size_t size = 256u << 10;
+  const double predicted = lan.predict_seconds(serial::kHeaderSize + size);
+  {
+    auto listener = TcpListener::bind({"127.0.0.1", 0});
+    ASSERT_TRUE(listener.ok());
+    const Gathered g = gathered_payload(19, size);
+    double send_s = 0.0;
+    std::thread sender([ep = listener.value().endpoint(), &g, &lan, &send_s] {
+      auto conn = TcpConnection::connect(ep);
+      ASSERT_TRUE(conn.ok());
+      const Stopwatch watch;
+      ASSERT_TRUE(send_message(conn.value(), kEchoReq, g.payload, lan).ok());
+      send_s = watch.elapsed();
+    });
+    auto conn = listener.value().accept(2.0);
+    ASSERT_TRUE(conn.ok());
+    auto got = recv_message(conn.value(), 10.0);
+    sender.join();
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_TRUE(got.value().payload == g.payload.flatten());
+    EXPECT_GE(send_s, predicted) << "shaped send finished faster than the link allows";
+  }
+  GatherServer server(lan);
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const Stopwatch watch;
+  ASSERT_TRUE(send_message(conn.value(), kEchoReq, gather_request(20, size)).ok());
+  auto reply = recv_message(conn.value(), 10.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_TRUE(reply.value().payload == gathered_payload(20, size).payload.flatten());
+  EXPECT_GE(watch.elapsed(), predicted) << "paced reply arrived faster than the link allows";
+}
+
+// A reply bigger than the socket buffers is still partly queued when the
+// handler returns and drops its own reference to the borrowed arrays (on
+// the server, the stored result can be evicted the same way). The queued
+// chunks keep the payload's owner alive until the last byte is written, so
+// the reply arrives intact; the ASan lane runs this.
+TEST(ScatterSendTest, QueuedGatheredReplyOutlivesItsSender) {
+  GatherServer server;
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  const std::size_t size = 16u << 20;
+  ASSERT_TRUE(send_message(conn.value(), kEchoReq, gather_request(21, size)).ok());
+  // Read nothing until the handler has returned with the socket backed up.
+  const Deadline handled(5.0);
+  while (server.replies() == 0 && !handled.expired()) sleep_seconds(0.005);
+  ASSERT_EQ(server.replies(), 1u);
+  ASSERT_GT(server.reactor().buffered_bytes(), 0u) << "no part of the reply was queued";
+  EXPECT_TRUE(server.last_arrays_alive()) << "the queued reply lost its owner";
+  auto reply = recv_message(conn.value(), 10.0, size);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_TRUE(reply.value().payload == gathered_payload(21, size).payload.flatten());
+  EXPECT_TRUE(eventually_buffered(server.reactor(), 0));
+  const Deadline released(3.0);
+  while (server.last_arrays_alive() && !released.expired()) sleep_seconds(0.005);
+  EXPECT_FALSE(server.last_arrays_alive()) << "the written reply still holds its owner";
+}
+
 // ---- task pool ----
 
 // The pool grows past its core threads when handlers block: N blocking
