@@ -219,8 +219,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         (void)send_error(conn, reg.error().code, reg.error().message);
         return false;
       }
-      stat_registrations_.fetch_add(1);
-      metrics::counter("agent.registrations_total").inc();
+      registrations_.inc();
       proto::RegisterAck ack;
       ack.server_id = registry_.add(reg.value());
       // Hand the server our peer list so it can register with the whole
@@ -234,8 +233,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
     case MessageType::kWorkloadReport: {
       auto report = proto::WorkloadReport::decode(dec);
       if (report.ok()) {
-        stat_workload_reports_.fetch_add(1);
-        metrics::counter("agent.workload_reports_total").inc();
+        workload_reports_.inc();
         registry_.update_workload(report.value());
       }
       return true;  // fire-and-forget
@@ -256,8 +254,8 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         (void)send_error(conn, query.error().code, query.error().message);
         return false;
       }
-      stat_queries_.fetch_add(1);
-      metrics::counter("agent.queries_total").inc();
+      static auto& schedule_span = metrics::histogram("span.agent.schedule_s");
+      queries_.inc();
       const auto spec = registry_.problem_spec(query.value().problem);
       if (!spec) {
         metrics::counter("agent.unknown_problem_total").inc();
@@ -285,7 +283,8 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         list.candidates = policy_->rank(records, profile);
       }
       list.schedule_seconds = schedule_watch.elapsed();
-      trace::record_span(query.value().trace_id, "agent.schedule", 0.0, list.schedule_seconds);
+      trace::record_span(schedule_span, query.value().trace_id, "agent.schedule", 0.0,
+                         list.schedule_seconds);
       if (list.candidates.size() > query.value().max_candidates) {
         list.candidates.resize(query.value().max_candidates);
       }
@@ -300,8 +299,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
     case MessageType::kFailureReport: {
       auto report = proto::FailureReport::decode(dec);
       if (report.ok()) {
-        stat_failure_reports_.fetch_add(1);
-        metrics::counter("agent.failure_reports_total").inc();
+        failure_reports_.inc();
         registry_.record_failure(report.value().server_id);
       }
       return true;
@@ -410,10 +408,10 @@ void Agent::refresh_server_gauges() {
 
 proto::AgentStats Agent::stats() {
   proto::AgentStats s;
-  s.queries = stat_queries_.load();
-  s.registrations = stat_registrations_.load();
-  s.workload_reports = stat_workload_reports_.load();
-  s.failure_reports = stat_failure_reports_.load();
+  s.queries = queries_.value();
+  s.registrations = registrations_.value();
+  s.workload_reports = workload_reports_.value();
+  s.failure_reports = failure_reports_.value();
   s.alive_servers = static_cast<std::uint32_t>(registry_.alive_count());
   {
     std::lock_guard<std::mutex> lock(peers_mu_);

@@ -16,6 +16,7 @@
 #include "agent/policy.hpp"
 #include "agent/registry.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "net/reactor.hpp"
 #include "net/socket.hpp"
 #include "net/transport.hpp"
@@ -122,10 +123,11 @@ class Agent {
   std::thread ping_thread_;
   std::thread sync_thread_;
 
-  std::atomic<std::uint64_t> stat_queries_{0};
-  std::atomic<std::uint64_t> stat_registrations_{0};
-  std::atomic<std::uint64_t> stat_workload_reports_{0};
-  std::atomic<std::uint64_t> stat_failure_reports_{0};
+  // This agent's counts (AgentStats), each also feeding its agent.* total.
+  metrics::ScopedCounter queries_{metrics::counter("agent.queries_total")};
+  metrics::ScopedCounter registrations_{metrics::counter("agent.registrations_total")};
+  metrics::ScopedCounter workload_reports_{metrics::counter("agent.workload_reports_total")};
+  metrics::ScopedCounter failure_reports_{metrics::counter("agent.failure_reports_total")};
 };
 
 }  // namespace ns::agent

@@ -19,6 +19,17 @@ namespace {
 
 using proto::MessageType;
 
+/// The instruments every netsl touches, bound once (the registry never frees
+/// an instrument). Rare paths (errors, retries, failover) look theirs up.
+struct CallMetrics {
+  metrics::Counter& calls = metrics::counter("client.calls_total");
+  metrics::Counter& attempts = metrics::counter("client.attempts_total");
+  metrics::Histogram& call_s = metrics::histogram("client.call_s");
+  metrics::Histogram& span_query = metrics::histogram("span.client.query_s");
+  metrics::Histogram& span_attempt = metrics::histogram("span.client.attempt_s");
+  metrics::Histogram& span_transfer = metrics::histogram("span.client.result_transfer_s");
+};
+
 /// `extra` goes to the message's encode(): a SolveRequest takes the
 /// caller's arguments there, so the request itself never copies them. The
 /// encode gathers: bulk arrays are borrowed, not copied, which holds because
@@ -391,9 +402,8 @@ double NetSolveClient::backoff_jitter(double prev_sleep) {
                   backoff_rng_.uniform(config_.backoff_base_s, prev_sleep * 3.0));
 }
 
-double NetSolveClient::hedge_delay_for(const std::string& problem) const {
+double NetSolveClient::hedge_delay_for(const metrics::Histogram& hist) const {
   if (config_.hedge_delay_s <= 0.0) return 0.0;
-  const auto& hist = metrics::histogram("client.problem." + problem + ".attempt_s");
   if (hist.count() < config_.hedge_min_samples) return config_.hedge_delay_s;
   const double q = hist.percentile(config_.hedge_quantile);
   return q > 0.0 ? q : config_.hedge_delay_s;
@@ -422,11 +432,16 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
   CallStats& st = stats != nullptr ? *stats : local_stats;
   st = CallStats{};
   st.trace_id = trace::new_trace_id();
-  metrics::counter("client.calls_total").inc();
-  // Spans land both in the stats object (for in-process inspection) and in
-  // the registry's span.* histograms (for METRICS_QUERY scrapes).
-  const auto add_span = [&](const char* name, double start_s, double dur_s) {
-    trace::record_span(st.trace_id, name, start_s, dur_s);
+  static CallMetrics m;
+  m.calls.inc();
+  // Per-problem attempt latency: feeds the hedge delay, successes only.
+  metrics::Histogram& attempt_hist =
+      metrics::histogram("client.problem." + problem + ".attempt_s");
+  // Every hop lands in the stats object; only the client's own hops also land
+  // in its span.* histograms (the agent and server record theirs).
+  const auto add_span = [&](const char* name, double start_s, double dur_s,
+                            metrics::Histogram* own) {
+    if (own != nullptr) trace::record_span(*own, st.trace_id, name, start_s, dur_s);
     st.spans.push_back(trace::Span{name, start_s, dur_s});
   };
 
@@ -466,7 +481,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     st.total_seconds = total_watch.elapsed();
     sort_spans();
     metrics::counter("client.failures_total").inc();
-    metrics::histogram("client.call_s").observe(st.total_seconds);
+    m.call_s.observe(st.total_seconds);
     return err;
   };
 
@@ -479,14 +494,14 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     // whatever remains of the measured IO time is transfer. The wire carries
     // no one-way timings, so the transfer budget is split evenly around the
     // server-side spans.
-    add_span("client.attempt", attempt_start, io_seconds);
+    add_span("client.attempt", attempt_start, io_seconds, &m.span_attempt);
     const double queue = std::max(result.queue_seconds, 0.0);
     const double exec = std::max(result.exec_seconds, 0.0);
     const double half_transfer = std::max(io_seconds - queue - exec, 0.0) / 2.0;
-    add_span("server.queue_wait", attempt_start + half_transfer, queue);
-    add_span("server.compute", attempt_start + half_transfer + queue, exec);
+    add_span("server.queue_wait", attempt_start + half_transfer, queue, nullptr);
+    add_span("server.compute", attempt_start + half_transfer + queue, exec, nullptr);
     add_span("client.result_transfer", attempt_start + half_transfer + queue + exec,
-             half_transfer);
+             half_transfer, &m.span_transfer);
 
     const std::uint64_t output_bytes = dsl::args_byte_size(result.outputs);
     const double transfer = std::max(io_seconds - result.exec_seconds, 0.0);
@@ -494,7 +509,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     // Successful attempts only: a straggler's latency says where the timeout
     // landed, not where the service time lives, and would poison the
     // quantile the hedge delay is derived from.
-    metrics::histogram("client.problem." + problem + ".attempt_s").observe(io_seconds);
+    attempt_hist.observe(io_seconds);
     st.server_id = cand.server_id;
     st.server_name = cand.server_name;
     st.predicted_seconds = cand.predicted_seconds;
@@ -506,7 +521,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     st.attempts = attempts;
     st.backoff_seconds = backoff_total;
     sort_spans();
-    metrics::histogram("client.call_s").observe(st.total_seconds);
+    m.call_s.observe(st.total_seconds);
     return std::move(result.outputs);
   };
 
@@ -524,7 +539,8 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
     };
     if (!result.ok()) {
       // Transport-level failure: blacklist and move on.
-      add_span("client.attempt", attempt_start, total_watch.elapsed() - attempt_start);
+      add_span("client.attempt", attempt_start, total_watch.elapsed() - attempt_start,
+               &m.span_attempt);
       NS_DEBUG("client") << "attempt on " << cand.server_name
                          << " failed: " << result.error().to_string();
       last_error = result.error();
@@ -539,7 +555,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
       if (backup) metrics::counter("client.hedge_wins_total").inc();
       return finish_success(cand, std::move(result.value()), attempt_start, io_seconds);
     }
-    add_span("client.attempt", attempt_start, io_seconds);
+    add_span("client.attempt", attempt_start, io_seconds, &m.span_attempt);
     if (code == ErrorCode::kMigrated && result.value().migrated_port != 0) {
       // The job is still running on the destination server (drain moved it
       // with its checkpoint): follow the forwarding address and wait there
@@ -583,7 +599,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
 
   // Hedge delay for this call (0 = hedging off): the observed per-problem
   // latency quantile once warmed up, else the configured static delay.
-  const double hedge_delay = hedge_delay_for(problem);
+  const double hedge_delay = hedge_delay_for(attempt_hist);
 
   // Budgeted calls retry until the deadline, not a fixed attempt count; a
   // budget of time is what the caller actually has to spend.
@@ -631,12 +647,12 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
       }
       return fail(list.error());
     }
-    add_span("client.query", query_start, query_dur);
+    add_span("client.query", query_start, query_dur, &m.span_query);
     // The scheduling decision happened inside the query round trip, right
     // before the reply was sent; anchor it at the tail of the query span so
     // span starts stay non-decreasing.
     const double sched = std::clamp(list.value().schedule_seconds, 0.0, query_dur);
-    add_span("agent.schedule", query_start + (query_dur - sched), sched);
+    add_span("agent.schedule", query_start + (query_dur - sched), sched, nullptr);
     if (list.value().candidates.empty()) {
       if (budgeted) {
         retry_within_budget(
@@ -653,7 +669,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
       if (out_of_budget()) break;
       const auto& candidate = candidates[ci];
       ++attempts;
-      metrics::counter("client.attempts_total").inc();
+      m.attempts.inc();
       if (attempts > 1) metrics::counter("client.retries_total").inc();
 
       // Decorrelated-jitter backoff before every retry (never the first
@@ -784,7 +800,7 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
           st.hedged = true;
           metrics::counter("client.hedge_total").inc();
           ++attempts;
-          metrics::counter("client.attempts_total").inc();
+          m.attempts.inc();
           NS_DEBUG("client") << "hedging " << problem << " on "
                              << candidates[ci + 1].server_name << " after " << hedge_delay
                              << "s";

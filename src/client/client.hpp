@@ -245,7 +245,7 @@ class NetSolveClient {
                                      double* io_seconds);
   /// The hedge delay for one call: the per-problem attempt-latency quantile
   /// once enough samples exist, else the configured static delay. 0 = off.
-  double hedge_delay_for(const std::string& problem) const;
+  double hedge_delay_for(const metrics::Histogram& attempt_hist) const;
   /// Background-worker accounting for netsl_nb workers (the only threads a
   /// client starts). end_background() may be the thread's last touch of the
   /// client.

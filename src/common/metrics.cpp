@@ -181,6 +181,7 @@ Registry& Registry::instance() {
 }
 
 Counter& Registry::counter(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
@@ -188,6 +189,7 @@ Counter& Registry::counter(const std::string& name) {
 }
 
 Gauge& Registry::gauge(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
@@ -195,6 +197,7 @@ Gauge& Registry::gauge(const std::string& name) {
 }
 
 Histogram& Registry::histogram(const std::string& name) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();

@@ -40,6 +40,23 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// A counter one owner (one server of several in a process) keeps for itself:
+/// inc() also feeds the registry counter it was built from, value() reads the
+/// owner's share. The registry total keeps counting across restarts.
+class ScopedCounter {
+ public:
+  explicit ScopedCounter(Counter& total) noexcept : total_(total) {}
+  void inc(std::uint64_t n = 1) noexcept {
+    own_.inc(n);
+    total_.inc(n);
+  }
+  std::uint64_t value() const noexcept { return own_.value(); }
+
+ private:
+  Counter own_;
+  Counter& total_;
+};
+
 /// Last-write-wins instantaneous value (queue depth, rating factor, ...).
 class Gauge {
  public:
@@ -137,7 +154,11 @@ class Registry {
   /// For benches and tests that want a clean slate per scenario.
   void reset_all();
 
+  /// By-name lookups served so far; hot paths bind theirs once instead.
+  std::uint64_t lookups() const noexcept { return lookups_.load(std::memory_order_relaxed); }
+
  private:
+  std::atomic<std::uint64_t> lookups_{0};
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

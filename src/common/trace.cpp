@@ -5,7 +5,6 @@
 
 #include "common/clock.hpp"
 #include "common/log.hpp"
-#include "common/metrics.hpp"
 
 namespace ns::trace {
 
@@ -29,10 +28,11 @@ std::string trace_id_hex(TraceId id) {
   return buf;
 }
 
-void record_span(TraceId id, std::string_view name, double start_s, double duration_s) {
+void record_span(metrics::Histogram& hist, TraceId id, std::string_view name, double start_s,
+                 double duration_s) {
   NS_DEBUG("trace") << "trace=" << trace_id_hex(id) << " span=" << name
                     << " start_ms=" << start_s * 1e3 << " dur_ms=" << duration_s * 1e3;
-  metrics::histogram("span." + std::string(name) + "_s").observe(duration_s);
+  hist.observe(duration_s);
 }
 
 }  // namespace ns::trace

@@ -8,15 +8,18 @@
 //       trace=<16-hex> span=<name> start_ms=<..> dur_ms=<..>
 //     so a grep over interleaved multi-process logs reconstructs any
 //     request's path;
-//   - folds the duration into the process-wide metrics registry under
-//     "span.<name>_s", so per-hop latency distributions (p50/p95/p99) are
+//   - folds the duration into the registry histogram "span.<name>_s" the
+//     caller bound once, so per-hop latency distributions (p50/p95/p99) are
 //     scrapeable from any live process via METRICS_QUERY.
+// Each span is recorded once, by the process that measured it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/metrics.hpp"
 
 namespace ns::trace {
 
@@ -38,7 +41,8 @@ struct Span {
 };
 
 /// Log the span (debug level, tag "trace") and aggregate its duration into
-/// the metrics registry histogram "span.<name>_s".
-void record_span(TraceId id, std::string_view name, double start_s, double duration_s);
+/// `hist`, the caller's bound "span.<name>_s" histogram.
+void record_span(metrics::Histogram& hist, TraceId id, std::string_view name, double start_s,
+                 double duration_s);
 
 }  // namespace ns::trace

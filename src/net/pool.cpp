@@ -132,6 +132,8 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
     NS_RETURN_IF_ERROR(FaultInjector::instance().on_connect(remote));
   }
 
+  // Bound once: every agent exchange leases, and a lookup would lock under mu_.
+  static auto& hits_total = metrics::counter("net.pool.hits_total");
   const std::string key = remote.to_string();
   NS_RETURN_IF_ERROR(check_busy_window(key));
   {
@@ -150,7 +152,7 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
         lease.conn_ = std::move(cand.conn);
         lease.key_ = key;
         lease.reused_ = true;
-        metrics::counter("net.pool.hits_total").inc();
+        hits_total.inc();
         return lease;
       }
       idle_.erase(it);

@@ -125,7 +125,9 @@ class Encoder {
     static_assert(std::is_unsigned_v<T>);
     std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    buf_.insert(buf_.end(), le, le + sizeof(T));
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, le, sizeof(T));
   }
   /// Append raw bytes to the buffer.
   void append(const void* data, std::size_t size);

@@ -82,7 +82,6 @@ Status Journal::open(std::string path, bool fsync_each) {
   frozen_ = false;
   poisoned_ = false;
   path_ = std::move(path);
-  appends_ = 0;
   bytes_ = (::fstat(fd, &st) == 0) ? static_cast<std::uint64_t>(st.st_size) : 0;
   // A freshly created journal's directory entry must survive a crash too,
   // or replay-on-restart opens a directory that never heard of the file.
@@ -120,7 +119,6 @@ Status Journal::append(const JournalRecord& record) {
     return make_error(ErrorCode::kInternal,
                       std::string("journal fsync: ") + std::strerror(errno));
   }
-  ++appends_;
   bytes_ += framed.size();
   return ok_status();
 }

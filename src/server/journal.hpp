@@ -102,7 +102,6 @@ class Journal {
   /// True after a failed append/sync fail-stopped the journal.
   bool poisoned() const noexcept { return poisoned_; }
   const std::string& path() const noexcept { return path_; }
-  std::uint64_t appends() const noexcept { return appends_; }
   /// Bytes appended since open/rewrite (compaction trigger).
   std::uint64_t byte_size() const noexcept { return bytes_; }
 
@@ -114,7 +113,6 @@ class Journal {
   bool frozen_ = false;
   bool poisoned_ = false;
   std::string path_;
-  std::uint64_t appends_ = 0;
   std::uint64_t bytes_ = 0;
 };
 

@@ -135,46 +135,11 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
 }
 
 ComputeServer::ServerMetrics::ServerMetrics(const std::string& name)
-    : requests(metrics::counter("server.requests_total")),
-      completed(metrics::counter("server.completed_total")),
-      admit(metrics::counter("server.admit_total")),
-      shed(metrics::counter("server.shed_total")),
-      shed_admission(metrics::counter("server.shed_admission_total")),
-      shed_dequeue(metrics::counter("server.shed_dequeue_total")),
-      shed_codel(metrics::counter("server.shed_codel_total")),
-      shed_quota(metrics::counter("server.shed_quota_total")),
-      aimd_backoff(metrics::counter("server.aimd_backoff_total")),
-      rejected(metrics::counter("server.rejected_total")),
-      exec_errors(metrics::counter("server.exec_errors_total")),
-      cancelled_queued(metrics::counter("server.cancelled_queued_total")),
-      cancelled_running(metrics::counter("server.cancelled_running_total")),
-      cancel_requests(metrics::counter("server.cancel_requests_total")),
-      drain_rejected(metrics::counter("server.drain_rejected_total")),
-      journal_appends(metrics::counter("server.journal_appends_total")),
-      jobs_recovered(metrics::counter("server.jobs_recovered_total")),
-      jobs_migrated(metrics::counter("server.jobs_migrated_total")),
-      jobs_resumed(metrics::counter("server.jobs_resumed_total")),
-      store_write_errors(metrics::counter("store.write_errors_total")),
-      store_degraded_shed(metrics::counter("store.degraded_shed_total")),
-      store_ckpt_replicated(metrics::counter("store.ckpt_replicated_total")),
-      store_ckpt_raw_bytes(metrics::counter("store.ckpt_raw_bytes_total")),
-      store_ckpt_wire_bytes(metrics::counter("store.ckpt_wire_bytes_total")),
-      store_failover_resume(metrics::counter("store.failover_resume_total")),
-      store_degraded(metrics::gauge("store." + name + ".degraded")),
-      mem_shed(metrics::counter("mem.shed_total")),
-      mem_spilled_bytes(metrics::counter("mem.spilled_bytes_total")),
-      mem_spill_reloads(metrics::counter("mem.spill_reloads_total")),
-      mem_spill_reload_errors(metrics::counter("mem.spill_reload_errors_total")),
-      mem_bad_alloc(metrics::counter("mem.bad_alloc_total")),
-      mem_replica_evicted(metrics::counter("mem.replica_evicted_total")),
-      mem_forced_charge(metrics::counter("mem.forced_charge_total")),
+    : store_degraded(metrics::gauge("store." + name + ".degraded")),
       mem_accounted(metrics::gauge("mem." + name + ".accounted_bytes")),
       mem_peak(metrics::gauge("mem." + name + ".peak_bytes")),
       mem_budget(metrics::gauge("mem." + name + ".budget_bytes")),
       mem_spill_active(metrics::gauge("mem." + name + ".spill_active")),
-      queue_wait_s(metrics::histogram("server.queue_wait_s")),
-      queue_sojourn_s(metrics::histogram("server.queue_sojourn_s")),
-      compute_s(metrics::histogram("server.compute_s")),
       queue_depth(metrics::gauge("server." + name + ".queue_depth")),
       concurrency_limit(metrics::gauge("server." + name + ".concurrency_limit")),
       draining(metrics::gauge("server." + name + ".draining")) {}
@@ -430,10 +395,7 @@ void ComputeServer::dispatch_locked() {
       // The hint damps re-enqueue churn: without it the client's next
       // attempt lands right back in the same congested queue.
       entry->retry_after_s = retry_after_locked();
-      shed_dequeue_.fetch_add(1);
       metrics_.shed_dequeue.inc();
-      shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
-      metrics_.shed.inc();
       aimd_on_overload_locked(now);
       woke_any = true;
       continue;
@@ -449,7 +411,6 @@ void ComputeServer::dispatch_locked() {
       entry->dropped = true;
       entry->drop_reason = "overload control: queue sojourn above CoDel target";
       entry->retry_after_s = retry_after_locked();
-      shed_codel_.fetch_add(1);
       metrics_.shed_codel.inc();
       aimd_on_overload_locked(now);
       woke_any = true;
@@ -609,7 +570,6 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   if (draining_.load()) {
     // Retryable: the client's failover moves this request to another
     // server, which is the whole point of draining.
-    drain_rejected_.fetch_add(1);
     metrics_.drain_rejected.inc();
     result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
     result.error_message = "server draining";
@@ -685,7 +645,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
       if (used != waiting_by_client_.end() && used->second >= quota) {
         result.retry_after_s = retry_after_locked();
         lock.unlock();
-        shed_quota_.fetch_add(1);
         metrics_.shed_quota.inc();
         result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
         result.error_message = "admission control: per-client quota exceeded";
@@ -701,10 +660,7 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
       const double remaining = request.deadline_s - since_receipt.elapsed();
       if (est_service + adm.dispatch_slack_s > remaining) {
         lock.unlock();
-        shed_admission_.fetch_add(1);
         metrics_.shed_admission.inc();
-        shed_.fetch_add(1);  // legacy aggregate: deadline sheds before compute
-        metrics_.shed.inc();
         NS_DEBUG("server") << config_.name << " shed request " << result.request_id
                            << " at admission (predicted " << est_service
                            << "s > remaining " << remaining << "s)";
@@ -730,7 +686,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
       if (!job->readmit && (oversized || !governor_.try_charge(job->payload_bytes))) {
         result.retry_after_s = retry_after_locked();
         lock.unlock();
-        mem_shed_.fetch_add(1);
         metrics_.mem_shed.inc();
         mem_dirty_.store(true);
         result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
@@ -821,7 +776,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
       // Cancelled while queued: checked before taking the slot so a
       // cancel can never also count as a shed or a completion.
       lock.unlock();
-      cancelled_queued_.fetch_add(1);
       metrics_.cancelled_queued.inc();
       NS_DEBUG("server") << config_.name << " dropped queued request "
                          << result.request_id << " (cancelled)";
@@ -858,7 +812,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
         dispatch_locked();
       }
       metrics_.mem_spill_reload_errors.inc();
-      mem_shed_.fetch_add(1);
       metrics_.mem_shed.inc();
       NS_WARN("server") << config_.name << " spill reload failed for request "
                         << result.request_id << ": "
@@ -870,8 +823,7 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
   }
   const double queue_wait = queue_watch.elapsed();
   result.queue_seconds = queue_wait;
-  metrics_.queue_wait_s.observe(queue_wait);
-  trace::record_span(request.trace_id, "server.queue_wait",
+  trace::record_span(metrics_.span_queue_wait, request.trace_id, "server.queue_wait",
                      since_receipt.elapsed() - queue_wait, queue_wait);
 
   // Checkpoint wiring: the kernel snapshots its loop state every interval;
@@ -913,7 +865,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     journal_append(rec);
   }
   if (job->ckpt.has_restore()) {
-    jobs_resumed_.fetch_add(1);
     metrics_.jobs_resumed.inc();
     std::uint64_t seen = last_resume_iteration_.load();
     const std::uint64_t at = job->ckpt.restore_iteration();
@@ -987,17 +938,28 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
   }
 
   result.exec_seconds = elapsed;
-  metrics_.compute_s.observe(elapsed);
-  trace::record_span(request.trace_id, "server.compute",
+  trace::record_span(metrics_.span_compute, request.trace_id, "server.compute",
                      since_receipt.elapsed() - elapsed, elapsed);
+  // stop() trips running jobs as crash() does. A job it unwound ends like a
+  // queued job at stop: no terminal record or count, so replay resumes it
+  // from its last checkpoint, and no reply.
+  const bool unwound_by_stop = stopping_.load() && !outputs.ok() &&
+                               outputs.error().code == ErrorCode::kCancelled;
+  if (crash_mode_.load() || unwound_by_stop) {
+    // Crashed mid-execution: the journal is frozen and the reply must not
+    // leave — to the outside world this job died with the process. The
+    // byte account is process memory, not durable state, so it is still
+    // released (the emulated-dead server shares this address space).
+    release_job_memory(job);
+    erase_active_job(job, result.request_id);
+    return nullptr;
+  }
   if (outputs.ok()) {
     result.outputs = std::move(outputs).value();
-    completed_.fetch_add(1);
     metrics_.completed.inc();
   } else if (outputs.error().code == ErrorCode::kCancelled) {
     // The partial outputs died with the kernel's stack frame; nothing of
     // the cancelled attempt is published.
-    cancelled_running_.fetch_add(1);
     metrics_.cancelled_running.inc();
     NS_DEBUG("server") << config_.name << " cancelled running request "
                        << result.request_id << " after " << elapsed << "s";
@@ -1015,20 +977,6 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     metrics_.exec_errors.inc();
     result.error_code = static_cast<std::uint16_t>(outputs.error().code);
     result.error_message = outputs.error().message;
-  }
-  // stop() trips running jobs as crash() does. A job it unwound ends like a
-  // queued job at stop: no terminal record, so replay resumes it from its
-  // last checkpoint, and no reply.
-  const bool unwound_by_stop = stopping_.load() && !outputs.ok() &&
-                               outputs.error().code == ErrorCode::kCancelled;
-  if (crash_mode_.load() || unwound_by_stop) {
-    // Crashed mid-execution: the journal is frozen and the reply must not
-    // leave — to the outside world this job died with the process. The
-    // byte account is process memory, not durable state, so it is still
-    // released (the emulated-dead server shares this address space).
-    release_job_memory(job);
-    erase_active_job(job, result.request_id);
-    return nullptr;
   }
   return finish_job(job, std::move(result));
 }
@@ -1059,7 +1007,7 @@ void ComputeServer::send_workload_report(double workload) {
     proto::WorkloadReport report;
     report.server_id = link.id;
     report.workload = workload;
-    report.completed = completed_.load();
+    report.completed = metrics_.completed.value();
     report.sojourn_p95_s = sojourn_p95;
     report.free_slots = free_slots;
     report.durable = config_.data_dir.empty() ? -1 : (degraded_.load() ? 0 : 1);
@@ -1212,7 +1160,6 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
       std::lock_guard<std::mutex> lock(active_jobs_mu_);
       active_jobs_.emplace(id, job);
     }
-    jobs_recovered_.fetch_add(1);
     metrics_.jobs_recovered.inc();
     recovered_jobs_.push_back(std::move(job));
   }
@@ -1259,11 +1206,6 @@ void ComputeServer::readmit(proto::SolveRequest request, double deadline_s,
     job->ckpt.install_restore(std::move(snapshot));
   }
   launch(std::move(job));
-}
-
-std::uint64_t ComputeServer::journal_appends() const {
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  return journal_.appends();
 }
 
 void ComputeServer::journal_append_locked(const JournalRecord& record) {
@@ -1695,7 +1637,6 @@ void ComputeServer::replicate_checkpoint(ActiveJob& job,
     if (accepted) {
       peer.sent_request = true;
       peer.acked_iteration = snap.iteration;
-      ckpt_replicated_.fetch_add(1);
       metrics_.store_ckpt_replicated.inc();
       metrics_.store_ckpt_raw_bytes.inc(snap.state.size());
       metrics_.store_ckpt_wire_bytes.inc(put.frame.size());
@@ -1869,7 +1810,6 @@ proto::CheckpointFetchReply ComputeServer::handle_checkpoint_fetch(
     }
   }
 
-  failover_resumes_.fetch_add(1);
   metrics_.store_failover_resume.inc();
   NS_INFO("server") << config_.name << " adopted job " << fetch.request_id
                     << " from crashed peer " << reply.origin
@@ -2001,7 +1941,6 @@ bool ComputeServer::migrate_job(ActiveJob& job, proto::SolveResult& result) {
     result.error_message = "migrated to " + candidate.server_name;
     result.migrated_host = candidate.endpoint.host;
     result.migrated_port = candidate.endpoint.port;
-    jobs_migrated_.fetch_add(1);
     metrics_.jobs_migrated.inc();
     NS_INFO("server") << config_.name << " migrated job " << result.request_id
                       << " to " << candidate.server_name << " at checkpoint iteration "

@@ -237,31 +237,41 @@ class ComputeServer {
   void inject_failure(const FailureSpec& failure);
   void set_background_load(double load);
 
+  /// Requests taken in, readmitted jobs included (recovered ones are not).
+  std::uint64_t requests() const noexcept { return metrics_.requests.value(); }
   /// Requests fully executed (successful replies sent).
-  std::uint64_t completed() const noexcept { return completed_.load(); }
-  /// Requests shed because their deadline budget lapsed before execution
-  /// (admission-infeasible + expired-at-dequeue; the legacy aggregate).
-  std::uint64_t shed() const noexcept { return shed_.load(); }
+  std::uint64_t completed() const noexcept { return metrics_.completed.value(); }
+  /// Requests shed because their deadline budget lapsed before execution:
+  /// shed_admission() + shed_dequeue().
+  std::uint64_t shed() const noexcept { return shed_admission() + shed_dequeue(); }
   /// Requests shed at admission: remaining budget below predicted service.
-  std::uint64_t shed_admission() const noexcept { return shed_admission_.load(); }
+  std::uint64_t shed_admission() const noexcept { return metrics_.shed_admission.value(); }
   /// Requests shed at dequeue: deadline lapsed while queued, dropped
   /// retryably before any compute happened.
-  std::uint64_t shed_dequeue() const noexcept { return shed_dequeue_.load(); }
+  std::uint64_t shed_dequeue() const noexcept { return metrics_.shed_dequeue.value(); }
   /// Requests shed by the CoDel sojourn controller.
-  std::uint64_t shed_codel() const noexcept { return shed_codel_.load(); }
+  std::uint64_t shed_codel() const noexcept { return metrics_.shed_codel.value(); }
   /// Requests rejected by the per-client fair-share quota.
-  std::uint64_t shed_quota() const noexcept { return shed_quota_.load(); }
+  std::uint64_t shed_quota() const noexcept { return metrics_.shed_quota.value(); }
+  /// Requests rejected because the wait queue was full.
+  std::uint64_t rejected() const noexcept { return metrics_.rejected.value(); }
+  /// Requests whose kernel failed (bad arguments, allocation failure).
+  std::uint64_t exec_errors() const noexcept { return metrics_.exec_errors.value(); }
+  /// Durable-required requests shed because the journal is unavailable.
+  std::uint64_t store_degraded_shed() const noexcept {
+    return metrics_.store_degraded_shed.value();
+  }
   /// The current (possibly AIMD-adapted) concurrency limit.
   int concurrency_limit() const;
   /// Recent p95 of queue sojourn (the value piggybacked on workload
   /// reports); 0 until anything has been dequeued.
   double sojourn_p95() const;
   /// Requests cancelled while still waiting for a worker slot.
-  std::uint64_t cancelled_queued() const noexcept { return cancelled_queued_.load(); }
+  std::uint64_t cancelled_queued() const noexcept { return metrics_.cancelled_queued.value(); }
   /// Requests cancelled mid-compute (kernel checkpoint unwound).
-  std::uint64_t cancelled_running() const noexcept { return cancelled_running_.load(); }
+  std::uint64_t cancelled_running() const noexcept { return metrics_.cancelled_running.value(); }
   /// New requests refused because the server was draining.
-  std::uint64_t drain_rejected() const noexcept { return drain_rejected_.load(); }
+  std::uint64_t drain_rejected() const noexcept { return metrics_.drain_rejected.value(); }
   /// Current workload as would be reported (running + waiting + background).
   double current_workload() const;
   /// Transport guard observability: live accepted connections and bytes
@@ -295,18 +305,18 @@ class ComputeServer {
 
   // ---- durability ----
   /// Unfinished jobs re-admitted from the journal at startup.
-  std::uint64_t jobs_recovered() const noexcept { return jobs_recovered_.load(); }
+  std::uint64_t jobs_recovered() const noexcept { return metrics_.jobs_recovered.value(); }
   /// Running jobs handed to a peer server during drain.
-  std::uint64_t jobs_migrated() const noexcept { return jobs_migrated_.load(); }
+  std::uint64_t jobs_migrated() const noexcept { return metrics_.jobs_migrated.value(); }
   /// Recovered/transferred jobs whose kernel resumed from a checkpoint
   /// rather than restarting from scratch.
-  std::uint64_t jobs_resumed() const noexcept { return jobs_resumed_.load(); }
+  std::uint64_t jobs_resumed() const noexcept { return metrics_.jobs_resumed.value(); }
   /// Highest checkpoint iteration any resumed job restarted from.
   std::uint64_t last_resume_iteration() const noexcept {
     return last_resume_iteration_.load();
   }
   /// Journal records appended since startup.
-  std::uint64_t journal_appends() const;
+  std::uint64_t journal_appends() const noexcept { return metrics_.journal_appends.value(); }
   /// True once a persistent write failure fail-stopped the journal and the
   /// server dropped to explicitly non-durable mode (advertised as
   /// durable=false in workload reports; durable-required jobs are shed
@@ -314,10 +324,10 @@ class ComputeServer {
   bool durability_degraded() const noexcept { return degraded_.load(); }
   /// Checkpoint frames accepted by replica peers.
   std::uint64_t checkpoints_replicated() const noexcept {
-    return ckpt_replicated_.load();
+    return metrics_.store_ckpt_replicated.value();
   }
   /// Jobs adopted here from the replica store after an origin crash.
-  std::uint64_t failover_resumes() const noexcept { return failover_resumes_.load(); }
+  std::uint64_t failover_resumes() const noexcept { return metrics_.store_failover_resume.value(); }
   /// Replicated checkpoints currently held for other servers' jobs.
   std::size_t replica_holds() const;
   /// Bytes the replica store currently accounts for.
@@ -336,7 +346,7 @@ class ComputeServer {
   /// Queued payloads currently parked in the spill store.
   std::int64_t spilled_jobs() const noexcept { return spilled_jobs_.load(); }
   /// Jobs shed because their payload or working set did not fit a budget.
-  std::uint64_t mem_shed() const noexcept { return mem_shed_.load(); }
+  std::uint64_t mem_shed() const noexcept { return metrics_.mem_shed.value(); }
   /// Emulated unclean death (SIGKILL): freeze the journal (nothing further
   /// reaches disk), suppress all replies and terminal accounting, and tear
   /// the threads down. Unlike stop(), in-flight jobs look — to clients and
@@ -345,59 +355,57 @@ class ComputeServer {
   void crash();
 
  private:
-  /// Registry handles resolved once at startup; the instruments themselves
-  /// are process-wide atomics, so the request path stays lock-free. Counters
-  /// and histograms aggregate across all servers in the process; the queue
-  /// depth gauge is per-server (keyed by name) since depths do not sum.
+  /// Registry handles resolved once at startup, so the request path stays
+  /// lock-free. Each counter keeps this server's count (the accessors above)
+  /// and feeds the process-wide total; histograms aggregate across servers;
+  /// gauges are per-server (keyed by name) since depths do not sum.
   struct ServerMetrics {
     explicit ServerMetrics(const std::string& name);
-    metrics::Counter& requests;
-    metrics::Counter& completed;
-    metrics::Counter& admit;
-    metrics::Counter& shed;
-    metrics::Counter& shed_admission;
-    metrics::Counter& shed_dequeue;
-    metrics::Counter& shed_codel;
-    metrics::Counter& shed_quota;
-    metrics::Counter& aimd_backoff;
-    metrics::Counter& rejected;
-    metrics::Counter& exec_errors;
-    metrics::Counter& cancelled_queued;
-    metrics::Counter& cancelled_running;
-    metrics::Counter& cancel_requests;
-    metrics::Counter& drain_rejected;
-    metrics::Counter& journal_appends;
-    metrics::Counter& jobs_recovered;
-    metrics::Counter& jobs_migrated;
-    metrics::Counter& jobs_resumed;
+    metrics::ScopedCounter requests{metrics::counter("server.requests_total")};
+    metrics::ScopedCounter completed{metrics::counter("server.completed_total")};
+    metrics::ScopedCounter admit{metrics::counter("server.admit_total")};
+    metrics::ScopedCounter shed_admission{metrics::counter("server.shed_admission_total")};
+    metrics::ScopedCounter shed_dequeue{metrics::counter("server.shed_dequeue_total")};
+    metrics::ScopedCounter shed_codel{metrics::counter("server.shed_codel_total")};
+    metrics::ScopedCounter shed_quota{metrics::counter("server.shed_quota_total")};
+    metrics::ScopedCounter aimd_backoff{metrics::counter("server.aimd_backoff_total")};
+    metrics::ScopedCounter rejected{metrics::counter("server.rejected_total")};
+    metrics::ScopedCounter exec_errors{metrics::counter("server.exec_errors_total")};
+    metrics::ScopedCounter cancelled_queued{metrics::counter("server.cancelled_queued_total")};
+    metrics::ScopedCounter cancelled_running{metrics::counter("server.cancelled_running_total")};
+    metrics::ScopedCounter cancel_requests{metrics::counter("server.cancel_requests_total")};
+    metrics::ScopedCounter drain_rejected{metrics::counter("server.drain_rejected_total")};
+    metrics::ScopedCounter journal_appends{metrics::counter("server.journal_appends_total")};
+    metrics::ScopedCounter jobs_recovered{metrics::counter("server.jobs_recovered_total")};
+    metrics::ScopedCounter jobs_migrated{metrics::counter("server.jobs_migrated_total")};
+    metrics::ScopedCounter jobs_resumed{metrics::counter("server.jobs_resumed_total")};
     // Storage-fault armor (store.*): disk failures survived, degradation,
     // and checkpoint replication. Raw vs wire bytes expose the compression
     // ratio (the `store.ckpt_bytes_total{raw,wire}` pair of DESIGN.md §17).
-    metrics::Counter& store_write_errors;
-    metrics::Counter& store_degraded_shed;
-    metrics::Counter& store_ckpt_replicated;
-    metrics::Counter& store_ckpt_raw_bytes;
-    metrics::Counter& store_ckpt_wire_bytes;
-    metrics::Counter& store_failover_resume;
+    metrics::ScopedCounter store_write_errors{metrics::counter("store.write_errors_total")};
+    metrics::ScopedCounter store_degraded_shed{metrics::counter("store.degraded_shed_total")};
+    metrics::ScopedCounter store_ckpt_replicated{metrics::counter("store.ckpt_replicated_total")};
+    metrics::ScopedCounter store_ckpt_raw_bytes{metrics::counter("store.ckpt_raw_bytes_total")};
+    metrics::ScopedCounter store_ckpt_wire_bytes{metrics::counter("store.ckpt_wire_bytes_total")};
+    metrics::ScopedCounter store_failover_resume{metrics::counter("store.failover_resume_total")};
     metrics::Gauge& store_degraded;
     // Memory governance (mem.*): byte-accounted admission, payload spill,
-    // and allocation-failure hardening. Counters are process-wide; the
-    // accounted/peak/budget gauges are per-server (keyed by name) since
-    // byte accounts do not sum meaningfully across servers.
-    metrics::Counter& mem_shed;
-    metrics::Counter& mem_spilled_bytes;
-    metrics::Counter& mem_spill_reloads;
-    metrics::Counter& mem_spill_reload_errors;
-    metrics::Counter& mem_bad_alloc;
-    metrics::Counter& mem_replica_evicted;
-    metrics::Counter& mem_forced_charge;
+    // and allocation-failure hardening.
+    metrics::ScopedCounter mem_shed{metrics::counter("mem.shed_total")};
+    metrics::ScopedCounter mem_spilled_bytes{metrics::counter("mem.spilled_bytes_total")};
+    metrics::ScopedCounter mem_spill_reloads{metrics::counter("mem.spill_reloads_total")};
+    metrics::ScopedCounter mem_spill_reload_errors{
+        metrics::counter("mem.spill_reload_errors_total")};
+    metrics::ScopedCounter mem_bad_alloc{metrics::counter("mem.bad_alloc_total")};
+    metrics::ScopedCounter mem_replica_evicted{metrics::counter("mem.replica_evicted_total")};
+    metrics::ScopedCounter mem_forced_charge{metrics::counter("mem.forced_charge_total")};
     metrics::Gauge& mem_accounted;
     metrics::Gauge& mem_peak;
     metrics::Gauge& mem_budget;
     metrics::Gauge& mem_spill_active;
-    metrics::Histogram& queue_wait_s;
-    metrics::Histogram& queue_sojourn_s;
-    metrics::Histogram& compute_s;
+    metrics::Histogram& span_queue_wait{metrics::histogram("span.server.queue_wait_s")};
+    metrics::Histogram& queue_sojourn_s{metrics::histogram("server.queue_sojourn_s")};
+    metrics::Histogram& span_compute{metrics::histogram("span.server.compute_s")};
     metrics::Gauge& queue_depth;
     metrics::Gauge& concurrency_limit;
     metrics::Gauge& draining;
@@ -704,16 +712,6 @@ class ComputeServer {
   std::atomic<std::int64_t> requests_seen_{0};
   std::atomic<double> background_load_;
 
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> shed_admission_{0};
-  std::atomic<std::uint64_t> shed_dequeue_{0};
-  std::atomic<std::uint64_t> shed_codel_{0};
-  std::atomic<std::uint64_t> shed_quota_{0};
-  std::atomic<std::uint64_t> cancelled_queued_{0};
-  std::atomic<std::uint64_t> cancelled_running_{0};
-  std::atomic<std::uint64_t> drain_rejected_{0};
-
   /// Guards the journal and the terminal-record protocol (see above).
   mutable std::mutex journal_mu_;
   Journal journal_;
@@ -729,9 +727,6 @@ class ComputeServer {
   /// Set by crash(): suppress replies and terminal accounting so the
   /// emulated kill looks like a power cut, not a graceful unwind.
   std::atomic<bool> crash_mode_{false};
-  std::atomic<std::uint64_t> jobs_recovered_{0};
-  std::atomic<std::uint64_t> jobs_migrated_{0};
-  std::atomic<std::uint64_t> jobs_resumed_{0};
   std::atomic<std::uint64_t> last_resume_iteration_{0};
 
   // ---- storage-fault armor ----
@@ -740,8 +735,6 @@ class ComputeServer {
   /// Durability state changed since the last workload report (forces a
   /// report past the change threshold so agents learn promptly).
   std::atomic<bool> durable_dirty_{false};
-  std::atomic<std::uint64_t> ckpt_replicated_{0};
-  std::atomic<std::uint64_t> failover_resumes_{0};
   /// Replica store: checkpoints held for peers' jobs, keyed by
   /// (origin server name, request id), bounded FIFO like the result store.
   struct ReplicaEntry {
@@ -765,7 +758,6 @@ class ComputeServer {
   mem::SpillStore spill_;
   /// Payloads currently parked on disk (drives the spill_active ternary).
   std::atomic<std::int64_t> spilled_jobs_{0};
-  std::atomic<std::uint64_t> mem_shed_{0};
   /// Memory-pressure state changed since the last workload report (same
   /// force-a-report contract as durable_dirty_).
   std::atomic<bool> mem_dirty_{false};

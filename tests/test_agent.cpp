@@ -237,7 +237,8 @@ std::vector<ServerRecord> heterogeneous_pool() {
   for (int i = 0; i < 4; ++i) {
     ServerRecord r;
     r.id = static_cast<proto::ServerId>(i + 1);
-    r.name = "s" + std::to_string(i + 1);
+    // Not "s" + to_string(): GCC 12 at -O3 reports a false -Wrestrict on it.
+    r.name = std::string("s").append(std::to_string(i + 1));
     r.mflops = 100.0 * (i + 1);  // s4 is fastest
     r.bandwidth_Bps = 1e18;
     pool.push_back(r);
@@ -485,8 +486,9 @@ TEST_F(AgentServiceTest, MalformedPayloadGetsErrorReply) {
 
 TEST_F(AgentServiceTest, MaxCandidatesHonoured) {
   for (int i = 0; i < 6; ++i) {
+    // Not "s" + to_string(): GCC 12 at -O3 reports a false -Wrestrict on it.
     (void)round_trip(proto::MessageType::kRegisterServer,
-                     encode(make_registration("s" + std::to_string(i),
+                     encode(make_registration(std::string("s").append(std::to_string(i)),
                                               static_cast<std::uint16_t>(2000 + i), 100)));
   }
   proto::Query query;

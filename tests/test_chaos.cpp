@@ -15,6 +15,8 @@
 #include "net/fault.hpp"
 #include "testkit/cluster.hpp"
 
+#include "conservation.hpp"
+
 namespace ns {
 namespace {
 
@@ -155,8 +157,10 @@ class ChaosClusterTest : public ::testing::Test {
 
   void TearDown() override {
     net::FaultInjector::instance().disarm_all();
+    if (cluster_ && !HasFatalFailure()) conservation::expect_conserved(*cluster_, tally_);
   }
 
+  const conservation::ClientTally tally_ = conservation::ClientTally::now();
   std::unique_ptr<testkit::TestCluster> cluster_;
 };
 
@@ -332,7 +336,8 @@ TEST_F(ChaosClusterTest, TraceSpansAndRetryMetricsSurviveResets) {
   ASSERT_NE(attempt_hist, nullptr);
   EXPECT_GE(attempt_hist->count, static_cast<std::uint64_t>(stats.attempts));
   EXPECT_NE(snap.value().find("client.retries_total"), nullptr);
-  EXPECT_NE(snap.value().find("server.shed_total"), nullptr);
+  EXPECT_NE(snap.value().find("server.shed_admission_total"), nullptr);
+  EXPECT_NE(snap.value().find("server.shed_dequeue_total"), nullptr);
 }
 
 // Deadline budgets are hard: with every server stalling, a budgeted call

@@ -115,7 +115,8 @@ TEST_P(PolicyInvariantTest, RankingIsAPermutationWithPredictions) {
     std::set<proto::ServerId> ids;
     for (std::size_t i = 0; i < n; ++i) {
       pool[i].id = static_cast<proto::ServerId>(i + 1);
-      pool[i].name = "s" + std::to_string(i);
+      // Not "s" + to_string(): GCC 12 at -O3 reports a false -Wrestrict on it.
+      pool[i].name = std::string("s").append(std::to_string(i));
       pool[i].mflops = rng.uniform(50, 2000);
       pool[i].workload = rng.uniform(0, 5);
       pool[i].latency_s = rng.uniform(0, 0.05);

@@ -17,6 +17,8 @@
 #include "proto/messages.hpp"
 #include "testkit/cluster.hpp"
 
+#include "conservation.hpp"
+
 namespace ns {
 namespace {
 
@@ -102,6 +104,7 @@ TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
 
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   // The agent still believes server0 is idle and fast; in reality the load
   // spike stretches simwork(25) from ~50 ms to ~2.5 s of cancellable work.
@@ -153,6 +156,7 @@ TEST(HedgeTest, BackupWinsAndLoserIsCancelled) {
   ASSERT_TRUE(out_again.ok()) << out_again.error().to_string();
   EXPECT_TRUE(again.hedged);
   EXPECT_EQ(threads_after, threads_before) << "a hedged call left threads running";
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // Cross-server cancellation at both lifecycle stages, over raw connections
@@ -170,6 +174,7 @@ TEST(HedgeTest, CancelQueuedAndRunningJobs) {
   config.io_timeout_s = 10.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
   const net::Endpoint endpoint = server.endpoint();
 
@@ -216,6 +221,7 @@ TEST(HedgeTest, CancelQueuedAndRunningJobs) {
   // Nothing completed, nothing double-counted as shed.
   EXPECT_EQ(server.completed(), 0u);
   EXPECT_EQ(server.shed(), 0u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // Graceful drain under load: every in-flight and queued job still succeeds
@@ -231,6 +237,7 @@ TEST(HedgeTest, DrainUnderLoadLosesNoJobs) {
   config.client_deadline_s = 20.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   auto client = cluster.value()->make_client();
   std::vector<client::RequestHandle> handles;
@@ -276,6 +283,7 @@ TEST(HedgeTest, DrainUnderLoadLosesNoJobs) {
   auto out = client.netsl("simwork", {DataObject(std::int64_t{10})}, &stats);
   ASSERT_TRUE(out.ok()) << out.error().to_string();
   EXPECT_EQ(stats.server_name, "server1");
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 }  // namespace

@@ -33,6 +33,8 @@
 #include "testkit/cluster.hpp"
 #include "testkit/hostile.hpp"
 
+#include "conservation.hpp"
+
 namespace ns {
 namespace {
 
@@ -82,6 +84,7 @@ TEST(HostileTest, SlowlorisIsKilledAndLegitGoodputHolds) {
   guard.frame_progress_timeout_s = 0.5;
   auto cluster = armored_cluster(guard);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   const std::uint64_t kills_before = counter_value("net.guard.progress_kill_total");
 
@@ -100,6 +103,7 @@ TEST(HostileTest, SlowlorisIsKilledAndLegitGoodputHolds) {
   // Every dripping connection must eventually hit the progress deadline:
   // each byte is "activity" so only the frame-completion clock can fire.
   EXPECT_GE(counter_value("net.guard.progress_kill_total"), kills_before + 1);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- giant frame: rejected at header-decode time, before any buffering ----
@@ -109,6 +113,7 @@ TEST(HostileTest, GiantFrameClaimIsRejectedWithoutBuffering) {
   guard.max_frame_bytes = 1u << 20;  // this server does metadata-sized work
   auto cluster = armored_cluster(guard);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   const std::uint64_t oversized_before = counter_value("net.guard.oversized_total");
@@ -135,6 +140,7 @@ TEST(HostileTest, GiantFrameClaimIsRejectedWithoutBuffering) {
   EXPECT_LT(max_buffered, std::size_t{8} << 20)
       << "oversized claims must cost kHeaderSize, not an allocation";
   EXPECT_GE(ok, 19) << "giant-frame bomb degraded legitimate goodput";
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- garbage fuzzer: close, never crash, never misframe later traffic ----
@@ -142,6 +148,7 @@ TEST(HostileTest, GiantFrameClaimIsRejectedWithoutBuffering) {
 TEST(HostileTest, GarbagePeerNeverDisruptsLegitTraffic) {
   auto cluster = armored_cluster(net::GuardConfig{});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   testkit::AttackConfig attack;
   attack.target = cluster.value()->server(0).endpoint();
@@ -155,6 +162,7 @@ TEST(HostileTest, GarbagePeerNeverDisruptsLegitTraffic) {
   attacker.join();
 
   EXPECT_GE(ok, total * 95 / 100) << "garbage fuzzer degraded legitimate goodput";
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- connection flood: cap held, idle LRU evicted, sheds counted ----
@@ -165,6 +173,7 @@ TEST(HostileTest, ConnectionFloodIsCappedWithLruEviction) {
   guard.retry_after_s = 0.1;
   auto cluster = armored_cluster(guard);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   const std::uint64_t evicted_before = counter_value("net.guard.evicted_total");
@@ -195,6 +204,7 @@ TEST(HostileTest, ConnectionFloodIsCappedWithLruEviction) {
   EXPECT_GE(evicted + shed, 1u) << "flood absorbed without any counted decision";
   EXPECT_GE(ok, total * 95 / 100)
       << "legit client starved by the flood (evicted=" << evicted << " shed=" << shed << ")";
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- half-open storm: partial headers pin fds until the deadline reaps ----
@@ -204,6 +214,7 @@ TEST(HostileTest, HalfOpenStormIsReaped) {
   guard.frame_progress_timeout_s = 0.5;
   auto cluster = armored_cluster(guard);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
   const std::size_t baseline = server.transport_connections();
 
@@ -226,6 +237,7 @@ TEST(HostileTest, HalfOpenStormIsReaped) {
       << server.transport_connections();
 
   EXPECT_GE(legit_goodput(*cluster.value(), 10), 10);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- header-only claims: a bare header is charged for its own bytes only ----
@@ -244,6 +256,7 @@ TEST(HostileTest, HeaderOnlyClaimsAreChargedOnlyForWhatArrived) {
       guard.max_total_buffer_bytes - guard.max_total_buffer_bytes / 8;
   auto cluster = armored_cluster(guard);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   const std::uint64_t shed_before = counter_value("net.guard.accept_shed_total");
@@ -296,6 +309,7 @@ TEST(HostileTest, HeaderOnlyClaimsAreChargedOnlyForWhatArrived) {
   EXPECT_TRUE(eventually([&] { return server.transport_buffered_bytes() == 0; }))
       << "claims still charged after the deadline: " << server.transport_buffered_bytes();
   EXPECT_GE(counter_value("net.guard.progress_kill_total"), kills_before + claims.size());
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- slow reader: a peer that never reads its replies hits the write budget --
@@ -377,6 +391,7 @@ serial::Bytes truncated(const Msg& msg) {
 TEST(HostileTest, TruncatedControlFramesDropOnlyTheirConnection) {
   auto cluster = armored_cluster(net::GuardConfig{});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
 
   using proto::MessageType;
@@ -421,6 +436,7 @@ TEST(HostileTest, TruncatedControlFramesDropOnlyTheirConnection) {
   // None of them took effect: no drain started, nothing adopted or stored.
   EXPECT_FALSE(cluster.value()->server(0).draining());
   EXPECT_EQ(cluster.value()->server(0).replica_holds(), 0u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- fd pressure: EMFILE on accept must shed, count, and recover ----

@@ -36,6 +36,8 @@
 #include "proto/messages.hpp"
 #include "testkit/cluster.hpp"
 
+#include "conservation.hpp"
+
 namespace ns {
 namespace {
 
@@ -323,6 +325,7 @@ TEST(MemPressureTest, OversubscribedBurstCompletesWithinBudget) {
   config.client_deadline_s = 45.0;  // retry sheds until done, not N attempts
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
   ASSERT_TRUE(server.governor().governed());
 
@@ -368,6 +371,7 @@ TEST(MemPressureTest, OversubscribedBurstCompletesWithinBudget) {
   EXPECT_TRUE(eventually([&] { return server.governor().accounted() == 0; }, 5.0))
       << "accounted bytes leaked: " << server.governor().accounted();
   EXPECT_EQ(server.spilled_jobs(), 0);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // A job that can never fit (payload + working set > the whole budget) is
@@ -385,6 +389,7 @@ TEST(MemPressureTest, OversizedJobShedsRetryablySmallJobsStillFlow) {
   config.io_timeout_s = 20.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   const auto shed_before = metrics::counter("mem.shed_total").value();
@@ -408,6 +413,7 @@ TEST(MemPressureTest, OversizedJobShedsRetryablySmallJobsStillFlow) {
   auto client = cluster.value()->make_client();
   auto small = client.netsl("simwork", {DataObject(std::int64_t{1})});
   EXPECT_TRUE(small.ok()) << (small.ok() ? "" : small.error().to_string());
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- allocation-fault injection: no daemon ever crashes ----
@@ -434,6 +440,7 @@ TEST(MemPressureTest, InjectedBadAllocNeverCrashesAnyDaemon) {
   config.client_deadline_s = 20.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto client = cluster.value()->make_client();
 
   for (const char* site : kSites) {
@@ -455,6 +462,7 @@ TEST(MemPressureTest, InjectedBadAllocNeverCrashesAnyDaemon) {
     EXPECT_TRUE(after.ok()) << (after.ok() ? "" : after.error().to_string());
   }
   EXPECT_GT(metrics::counter("mem.bad_alloc_total").value(), 0u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // bad_alloc scripted inside the spill save and reload paths of an
@@ -476,6 +484,7 @@ TEST(MemPressureTest, InjectedBadAllocInSpillPathsIsSurvivable) {
   config.client_deadline_s = 45.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   linalg::Vector x(2048, 1.0);
   linalg::Vector y(2048, 2.0);
@@ -496,6 +505,7 @@ TEST(MemPressureTest, InjectedBadAllocInSpillPathsIsSurvivable) {
     EXPECT_GE(ok, (kBurst * 95) / 100)
         << "burst under spill-path bad_alloc lost jobs: " << ok << "/" << kBurst;
   }
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- replica store byte bound ----
@@ -515,6 +525,7 @@ TEST(MemPressureTest, ReplicaStoreIsByteBoundedLargestFirst) {
   config.io_timeout_s = 20.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
   const net::Endpoint ep = server.endpoint();
 
@@ -559,6 +570,7 @@ TEST(MemPressureTest, ReplicaStoreIsByteBoundedLargestFirst) {
   // The big entry was the (first) victim: the latest small entries survive.
   EXPECT_GE(server.replica_holds(), 8u);
   EXPECT_LE(server.replica_bytes(), kReplicaBudget);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // An entry larger than the whole replica budget is refused outright (never
@@ -575,6 +587,7 @@ TEST(MemPressureTest, ReplicaLargerThanBudgetIsRefused) {
   config.io_timeout_s = 20.0;
   auto cluster = testkit::TestCluster::start(config);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   proto::CheckpointPut put;
@@ -599,6 +612,7 @@ TEST(MemPressureTest, ReplicaLargerThanBudgetIsRefused) {
   EXPECT_FALSE(ack.value().accepted);
   EXPECT_EQ(server.replica_holds(), 0u);
   EXPECT_EQ(server.replica_bytes(), 0u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,4 +170,131 @@ TEST(Metrics, MetricsQueryScrapesLiveCluster) {
   for (const auto& entry : server_snap.value().entries) {
     EXPECT_EQ(entry.name.rfind("server.", 0), 0u) << entry.name;
   }
+}
+
+namespace {
+
+std::uint64_t hist_count(const std::string& name) { return metrics::histogram(name).count(); }
+std::uint64_t counter_value(const std::string& name) { return metrics::counter(name).value(); }
+
+std::vector<dsl::DataObject> ddot_args() {
+  std::vector<double> x(64), y(64);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = static_cast<double>(i % 7);
+    y[i] = static_cast<double>(i % 5);
+  }
+  return {dsl::DataObject(std::move(x)), dsl::DataObject(std::move(y))};
+}
+
+}  // namespace
+
+// Each span is recorded once, in the process that measured it: the client
+// keeps the agent's and server's hops in CallStats but does not fold them
+// into the registry a second time.
+TEST(Metrics, EachSpanIsRecordedOncePerCall) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(2, /*workers=*/1);
+  config.rating_base = 1000.0;
+  auto cluster = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto client = cluster.value()->make_client();
+
+  const std::vector<std::string> spans = {"span.server.compute_s", "span.server.queue_wait_s",
+                                          "span.agent.schedule_s", "span.client.query_s",
+                                          "span.client.attempt_s"};
+  std::vector<std::uint64_t> before;
+  for (const auto& name : spans) before.push_back(hist_count(name));
+  constexpr int kCalls = 20;
+  for (int i = 0; i < kCalls; ++i) {
+    client::CallStats stats;
+    auto out = client.netsl("simwork", {dsl::DataObject(std::int64_t{2})}, &stats);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    ASSERT_EQ(stats.attempts, 1);
+    // The stats object still carries every hop, remote ones included.
+    int remote = 0;
+    for (const auto& span : stats.spans) {
+      remote += span.name == "server.compute" || span.name == "server.queue_wait" ||
+                span.name == "agent.schedule";
+    }
+    EXPECT_EQ(remote, 3);
+  }
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(hist_count(spans[i]) - before[i], static_cast<std::uint64_t>(kCalls)) << spans[i];
+  }
+}
+
+// Two servers in one process: each keeps its own counts, and together they
+// add up to the process-wide registry counter. A restarted incarnation
+// starts from zero while the registry total keeps counting.
+TEST(Metrics, ServerCountersArePerInstanceAndSumToTheRegistry) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(2, /*workers=*/1);
+  config.rating_base = 1000.0;
+  auto started = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(started.ok()) << started.error().to_string();
+  auto& cluster = *started.value();
+  auto client = cluster.make_client();
+
+  const auto run_calls = [&](int calls, std::map<std::string, std::uint64_t>& per_server) {
+    for (int i = 0; i < calls; ++i) {
+      client::CallStats stats;
+      auto out = client.netsl("simwork", {dsl::DataObject(std::int64_t{2})}, &stats);
+      ASSERT_TRUE(out.ok()) << out.error().to_string();
+      ++per_server[stats.server_name];
+    }
+  };
+
+  const std::uint64_t completed0 = counter_value("server.completed_total");
+  const std::uint64_t requests0 = counter_value("server.requests_total");
+  std::map<std::string, std::uint64_t> served;
+  run_calls(30, served);
+  std::uint64_t completed_sum = 0;
+  std::uint64_t requests_sum = 0;
+  for (std::size_t i = 0; i < cluster.server_count(); ++i) {
+    const auto& s = cluster.server(i);
+    EXPECT_EQ(s.completed(), served[s.name()]) << s.name();
+    EXPECT_EQ(s.requests(), served[s.name()]) << s.name();
+    completed_sum += s.completed();
+    requests_sum += s.requests();
+  }
+  EXPECT_EQ(completed_sum, 30u);
+  EXPECT_EQ(counter_value("server.completed_total") - completed0, completed_sum);
+  EXPECT_EQ(counter_value("server.requests_total") - requests0, requests_sum);
+
+  const std::uint64_t total_before_restart = counter_value("server.completed_total");
+  ASSERT_TRUE(cluster.restart_server(1).ok());
+  EXPECT_EQ(cluster.server(1).completed(), 0u) << "a new incarnation counts from zero";
+  EXPECT_EQ(counter_value("server.completed_total"), total_before_restart)
+      << "restarting a server must not drop the registry total";
+
+  const std::uint64_t server0_before = cluster.server(0).completed();
+  std::map<std::string, std::uint64_t> after;
+  run_calls(10, after);
+  EXPECT_EQ(cluster.server(0).completed() - server0_before, after["server0"]);
+  EXPECT_EQ(cluster.server(1).completed(), after["server1"]);
+  EXPECT_EQ(counter_value("server.completed_total") - total_before_restart, 10u);
+}
+
+// Instrumentation cheap enough to leave on: a steady-state netsl binds every
+// instrument it touches, in the client, the agent, the pool and the server.
+// The one lookup left is the per-problem attempt histogram, once per call.
+TEST(Metrics, SteadyStateNetslDoesAtMostOneRegistryLookup) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(2, /*workers=*/2);
+  config.rating_base = 1000.0;
+  auto cluster = testkit::TestCluster::start(std::move(config));
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  auto client = cluster.value()->make_client();
+  const auto args = ddot_args();
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(client.netsl("ddot", args).ok());  // warm-up
+
+  constexpr std::uint64_t kCalls = 200;
+  const std::uint64_t lookups0 = metrics::Registry::instance().lookups();
+  for (std::uint64_t i = 0; i < kCalls; ++i) {
+    auto out = client.netsl("ddot", args);
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+  }
+  const std::uint64_t lookups = metrics::Registry::instance().lookups() - lookups0;
+  EXPECT_LE(lookups, kCalls) << "registry lookups per netsl: "
+                             << static_cast<double>(lookups) / kCalls;
 }

@@ -17,6 +17,8 @@
 #include "proto/messages.hpp"
 #include "testkit/cluster.hpp"
 
+#include "conservation.hpp"
+
 namespace ns {
 namespace {
 
@@ -81,6 +83,7 @@ Result<std::unique_ptr<testkit::TestCluster>> single_server_cluster(
 TEST(OverloadTest, ExpiredInQueueJobIsShedAtDequeueNeverComputed) {
   auto cluster = single_server_cluster(/*rating=*/500.0, /*max_queue=*/16, {});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   // Occupy the single worker for ~1s with an undeadlined job.
@@ -117,6 +120,7 @@ TEST(OverloadTest, ExpiredInQueueJobIsShedAtDequeueNeverComputed) {
   const auto* dequeue = snap.value().find("server.shed_dequeue_total");
   ASSERT_NE(dequeue, nullptr);
   EXPECT_GE(dequeue->count, 1u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- EDF ordering ----
@@ -126,6 +130,7 @@ TEST(OverloadTest, ExpiredInQueueJobIsShedAtDequeueNeverComputed) {
 TEST(OverloadTest, EdfDispatchesEarliestDeadlineFirst) {
   auto cluster = single_server_cluster(/*rating=*/1000.0, /*max_queue=*/16, {});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
 
   auto occupier = cluster.value()->make_client();
@@ -170,6 +175,7 @@ TEST(OverloadTest, EdfDispatchesEarliestDeadlineFirst) {
   // B before C before A.
   EXPECT_LT(waiters[1].done_at, waiters[2].done_at);
   EXPECT_LT(waiters[2].done_at, waiters[0].done_at);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- acceptance (a): goodput under 3x offered load ----
@@ -180,6 +186,7 @@ TEST(OverloadTest, EdfDispatchesEarliestDeadlineFirst) {
 TEST(OverloadTest, GoodputSurvivesThreeTimesOfferedLoad) {
   auto cluster = single_server_cluster(/*rating=*/1000.0, /*max_queue=*/64, {});
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   // Measure capacity with a short closed-loop run: sequential 0.1s jobs,
   // including the full client/agent/transfer overhead per call.
@@ -231,6 +238,7 @@ TEST(OverloadTest, GoodputSurvivesThreeTimesOfferedLoad) {
   // The overload actually engaged the control plane.
   const auto& server = cluster.value()->server(0);
   EXPECT_GE(server.shed_admission() + server.shed_dequeue(), 1u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- acceptance (b): per-client fairness ----
@@ -242,6 +250,7 @@ TEST(OverloadTest, HeavyClientCannotStarveLightClient) {
   admission.quota_fraction = 0.25;  // 2 of the 8 queue slots per client
   auto cluster = single_server_cluster(/*rating=*/1000.0, /*max_queue=*/8, admission);
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
 
   const auto honored_before = metrics::counter("client.retry_after_honored_total").value();
 
@@ -287,6 +296,7 @@ TEST(OverloadTest, HeavyClientCannotStarveLightClient) {
   EXPECT_GE(cluster.value()->server(0).shed_quota(), 1u);
   // ...and its retry_after hints were honored by the client backoff.
   EXPECT_GT(metrics::counter("client.retry_after_honored_total").value(), honored_before);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 // ---- CoDel sojourn shedder + AIMD concurrency limit ----
@@ -309,6 +319,7 @@ TEST(OverloadTest, CodelShedsAndAimdBacksOffUnderSustainedPressure) {
   config.io_timeout_s = 10.0;
   auto cluster = testkit::TestCluster::start(std::move(config));
   ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
   auto& server = cluster.value()->server(0);
   EXPECT_EQ(server.concurrency_limit(), 2);
   const auto backoffs_before = metrics::counter("server.aimd_backoff_total").value();
@@ -346,6 +357,7 @@ TEST(OverloadTest, CodelShedsAndAimdBacksOffUnderSustainedPressure) {
   const auto* sojourn = snap.value().find("server.queue_sojourn_s");
   ASSERT_NE(sojourn, nullptr);
   EXPECT_GE(sojourn->count, 1u);
+  conservation::expect_conserved(*cluster.value(), tally);
 }
 
 }  // namespace
