@@ -133,7 +133,10 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
   }
 
   // Bound once: every agent exchange leases, and a lookup would lock under mu_.
+  // A steady-state lease misses too, when another thread holds the only
+  // idle connection to `remote`.
   static auto& hits_total = metrics::counter("net.pool.hits_total");
+  static auto& misses_total = metrics::counter("net.pool.misses_total");
   const std::string key = remote.to_string();
   NS_RETURN_IF_ERROR(check_busy_window(key));
   {
@@ -159,7 +162,7 @@ Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_tim
     }
   }
 
-  metrics::counter("net.pool.misses_total").inc();
+  misses_total.inc();
   // on_connect already consulted above; dial raw (connect() would roll the
   // fault a second time for one logical dial).
   auto conn = TcpConnection::connect_raw(remote, dial_timeout_s);

@@ -307,7 +307,7 @@ Status Reactor::start(TcpListener listener, MessageHandler handler, ReactorConfi
     return make_error(ErrorCode::kInternal, std::string("epoll_ctl(wake): ") + ::strerror(errno));
   }
 
-  pool_.start(config_.workers, config_.max_workers);
+  if (!config_.inline_handlers) pool_.start(config_.workers);
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { loop(); });
   return ok_status();
@@ -322,9 +322,7 @@ void Reactor::stop() {
   wake();
   if (loop_thread_.joinable()) loop_thread_.join();
   // Join workers after the loop: in-flight handlers may still be replying;
-  // their sends fail fast on the closed connections. Callers that block
-  // handlers on condition variables (the server's admission queue) must wake
-  // those first — see ComputeServer::stop().
+  // their sends fail fast on the closed connections.
   pool_.stop();
   {
     std::lock_guard lock(conns_mu_);
@@ -735,33 +733,41 @@ bool Reactor::finish_direct(const ReactorConnPtr& conn) {
   return dispatch(conn, std::move(d.msg));
 }
 
+bool ReactorConn::idle() {
+  if (active_handlers_.load(std::memory_order_acquire) > 0) return false;
+  std::lock_guard lock(wr_mu_);
+  return wrq_.empty();
+}
+
+ConnHold::ConnHold(ReactorConnPtr conn) : conn_(std::move(conn)) {
+  if (conn_) conn_->active_handlers_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+ConnHold::~ConnHold() {
+  if (!conn_) return;
+  conn_->last_activity_.store(now_seconds(), std::memory_order_relaxed);
+  conn_->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
 bool Reactor::dispatch(const ReactorConnPtr& conn, Message&& msg) {
-  conn->active_handlers_.fetch_add(1, std::memory_order_acq_rel);
+  ConnHold hold(conn);
   if (config_.inline_handlers) {
     // Loop-thread dispatch for short non-blocking handlers: saves the
     // wake-a-worker and reply-wakeup context switches per request. The
     // send fast path still writes directly from here.
-    const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
-    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-    if (!keep) {
-      conn->close();
-      return false;
-    }
-    return true;
-  }
-  const bool submitted = pool_.submit([this, conn, msg = std::move(msg)]() mutable {
-    const bool keep = handler_ ? handler_(conn, std::move(msg)) : false;
-    conn->last_activity_.store(now_seconds(), std::memory_order_relaxed);
-    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-    if (!keep) conn->close();
-  });
-  if (!submitted) {
-    conn->active_handlers_.fetch_sub(1, std::memory_order_acq_rel);
-    finish_close(conn);
+    if (handler_ && handler_(conn, std::move(msg))) return true;
+    conn->close();
     return false;
   }
-  return true;
+  // The task's copy of the hold is released once the handler has run, or
+  // at once if the task is dropped.
+  if (pool_.submit([this, conn, hold = std::move(hold), msg = std::move(msg)]() mutable {
+        if (!handler_ || !handler_(conn, std::move(msg))) conn->close();
+      })) {
+    return true;
+  }
+  finish_close(conn);
+  return false;
 }
 
 double Reactor::flush_writes(const ReactorConnPtr& conn) {
@@ -910,13 +916,7 @@ bool Reactor::evict_lru_idle() {
   {
     std::lock_guard lock(conns_mu_);
     for (const auto& conn : conns_) {
-      if (conn->active_handlers_.load(std::memory_order_acquire) > 0) continue;
-      bool queue_empty;
-      {
-        std::lock_guard wlock(conn->wr_mu_);
-        queue_empty = conn->wrq_.empty();
-      }
-      if (!queue_empty) continue;
+      if (!conn->idle()) continue;
       const double last = conn->last_activity_.load(std::memory_order_relaxed);
       if (!victim || last < oldest) {
         victim = conn;
@@ -1000,14 +1000,8 @@ void Reactor::sweep_idle(double now) {
   {
     std::lock_guard lock(conns_mu_);
     for (const auto& conn : conns_) {
-      if (conn->active_handlers_.load(std::memory_order_acquire) > 0) continue;
       const double last = conn->last_activity_.load(std::memory_order_relaxed);
-      bool queue_empty;
-      {
-        std::lock_guard wlock(conn->wr_mu_);
-        queue_empty = conn->wrq_.empty();
-      }
-      if (queue_empty && now - last > config_.idle_timeout_s) idle.push_back(conn);
+      if (now - last > config_.idle_timeout_s && conn->idle()) idle.push_back(conn);
     }
   }
   for (const auto& conn : idle) finish_close(conn);

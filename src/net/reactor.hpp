@@ -3,9 +3,9 @@
 // One reactor thread owns the listening socket, an epoll set, and every
 // accepted connection's read side. Complete frames are decoded on the
 // reactor thread (multiple frames per read — pipelined peers are the point)
-// and dispatched to an elastic TaskPool (net/task_pool.hpp), so a blocking
-// handler (a solve waiting in the admission queue) never stalls the loop or
-// any other connection. This replaces the thread-per-connection accept
+// and dispatched to a fixed TaskPool (net/task_pool.hpp), so a long handler
+// (a solve that runs its job) never stalls the loop or any other
+// connection. This replaces the thread-per-connection accept
 // loops the server and agent shipped with: connection count no longer costs
 // a thread, and an accepted-but-idle keep-alive connection costs one fd and
 // two small buffers.
@@ -30,7 +30,8 @@
 // marks every connection closing, joins the reactor thread, then stops the
 // pool (joining every worker). Handlers hold shared_ptr<ReactorConn>, so a
 // connection closed under them stays valid memory; sends after close fail
-// with kConnectionClosed.
+// with kConnectionClosed. A reply still owed after its handler returned
+// (a queued solve) keeps its connection through a ConnHold.
 #pragma once
 
 #include <atomic>
@@ -146,7 +147,13 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
     std::shared_ptr<const void> keep;
   };
 
+  friend class ConnHold;
+
   explicit ReactorConn(Reactor* reactor, int fd) : reactor_(reactor), fd_(fd) {}
+
+  /// No handler in flight, no ConnHold and nothing queued to write: the
+  /// idle sweep and LRU eviction may close it.
+  bool idle();
 
   Reactor* reactor_;
   int fd_;
@@ -193,11 +200,36 @@ class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
 
 using ReactorConnPtr = std::shared_ptr<ReactorConn>;
 
+/// Counts as an in-flight handler on its connection for as long as it
+/// lives (each copy counts), so the idle sweep and LRU eviction leave the
+/// connection open. The reactor holds one around every handler, and a
+/// reply still owed after the handler returned (a solve waiting in the
+/// server's admission queue) keeps one. Its release restarts the idle
+/// clock. Empty when default-constructed.
+class ConnHold {
+ public:
+  ConnHold() = default;
+  explicit ConnHold(ReactorConnPtr conn);
+  ~ConnHold();
+  ConnHold(const ConnHold& other) : ConnHold(other.conn_) {}
+  ConnHold(ConnHold&& other) noexcept = default;
+  ConnHold& operator=(ConnHold other) noexcept {
+    conn_.swap(other.conn_);
+    return *this;
+  }
+
+  ReactorConn* operator->() const noexcept { return conn_.get(); }
+  explicit operator bool() const noexcept { return conn_ != nullptr; }
+
+ private:
+  ReactorConnPtr conn_;
+};
+
 struct ReactorConfig {
-  /// Core handler threads; the pool grows on demand (blocking solve
-  /// handlers each hold a thread while queued/running) up to max_workers.
+  /// Handler pool threads, started once and never grown; a handler that
+  /// finds them all busy waits in the pool's FIFO. An inline-handler
+  /// reactor starts no pool.
   int workers = 4;
-  int max_workers = 256;
   /// Close connections with no traffic and no in-flight handler for this
   /// long. Keep-alive peers must send something (or redial) within it.
   double idle_timeout_s = 10.0;
@@ -205,7 +237,7 @@ struct ReactorConfig {
   /// Only for services whose every handler is short and non-blocking (the
   /// agent: metadata lookups) — it saves two context switches per request,
   /// but one blocking handler would stall every connection. Servers keep
-  /// pool dispatch (solve handlers block on the admission queue).
+  /// pool dispatch (a granted solve runs its job on the handler's thread).
   bool inline_handlers = false;
   /// Hostile-peer / resource-exhaustion budgets (see GuardConfig).
   GuardConfig guard;
@@ -237,7 +269,8 @@ class Reactor {
   void stop_accepting();
 
   /// Run `task` on the handler pool, whose threads stop() joins. False
-  /// (task dropped) once stop() has begun or before start().
+  /// (task dropped) once stop() has begun, before start(), or on an
+  /// inline-handler reactor.
   bool submit(std::function<void()> task) { return pool_.submit(std::move(task)); }
 
   Endpoint endpoint() const { return listener_.endpoint(); }

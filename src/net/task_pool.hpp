@@ -1,14 +1,14 @@
-// Elastic worker pool that executes the reactor's message handlers.
+// Fixed-size worker pool that executes the reactor's message handlers.
 //
 // The reactor thread must never block, so every decoded frame is handed to a
-// pool task. Most handlers (ping, query, metrics, cancel) finish in
-// microseconds and are served by the core threads; solve handlers block for
-// the whole queue-wait + compute and can pile up far beyond the core count,
-// so the pool grows on demand: a submit that finds no idle worker spawns a
-// new thread up to `max_threads`. Grown threads are kept (not retired) —
-// thread lifetime then has exactly two states, started and joined-in-stop,
-// which keeps shutdown races impossible by construction (every thread is
-// joined exactly once by stop()).
+// pool task. Handlers are short: ping, query, metrics and cancel finish in
+// microseconds, and a solve handler decodes, journals and admits its job,
+// then returns. The long tasks are a server's running jobs, and its
+// admission queue runs at most `workers` of them at once, so the pool is
+// sized once at start and never grows. A task submitted while every thread
+// is busy waits in the FIFO. Thread lifetime has exactly two states,
+// started and joined-in-stop, which keeps shutdown races impossible by
+// construction (every thread is joined exactly once by stop()).
 #pragma once
 
 #include <condition_variable>
@@ -29,11 +29,12 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Spawn `core_threads` workers now; grow lazily up to `max_threads`.
-  void start(int core_threads, int max_threads);
+  /// Spawn `threads` workers (at least one).
+  void start(int threads);
 
-  /// Queue a task. Returns false (task dropped) after stop() has begun —
-  /// callers treat that exactly like a connection that closed mid-dispatch.
+  /// Queue a task. Returns false (task dropped) before start() or after
+  /// stop() has begun — callers treat that exactly like a connection that
+  /// closed mid-dispatch.
   bool submit(std::function<void()> task);
 
   /// Drain nothing: pending tasks are dropped, running tasks finish, all
@@ -44,16 +45,12 @@ class TaskPool {
 
  private:
   void worker_loop();
-  void spawn_locked();
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  std::size_t idle_ = 0;
-  std::size_t max_threads_ = 0;
-  bool started_ = false;
-  bool stopping_ = false;
+  bool running_ = false;  // between start() and stop()
 };
 
 }  // namespace ns::net

@@ -25,6 +25,17 @@ namespace {
 
 using proto::MessageType;
 
+/// Headroom added to the predicted service time in both feasibility
+/// checks. EDF serves the most-urgent feasible job, which under overload is
+/// always the one at the feasibility edge — without slack for the reply
+/// transfer and thread scheduling, those jobs complete a hair past their
+/// deadline: compute spent, client already gone.
+constexpr double kDispatchSlackS = 0.02;
+/// The AIMD limit's floor and multiplicative decrease; its ceiling is the
+/// worker count.
+constexpr int kAimdMin = 1;
+constexpr double kAimdBeta = 0.7;
+
 serial::Bytes encode_payload(const auto& msg) {
   serial::Encoder enc;
   msg.encode(enc);
@@ -113,10 +124,12 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
   }
 
   // The reactor adopts the listener: reads and frame decode live on its
-  // event loop, handlers (including blocking solves waiting in the admission
-  // queue) on its elastic pool. Its idle sweep stays above the client pool's
+  // event loop, handlers on its pool. At most `workers` jobs run at once,
+  // each on a pool thread; four more threads serve control messages and
+  // admit solves meanwhile. Its idle sweep stays above the client pool's
   // keep-alive window so the client side discards idle connections first.
   net::ReactorConfig reactor_config;
+  reactor_config.workers = server->config_.workers + 4;
   reactor_config.idle_timeout_s = std::max(server->config_.io_timeout_s, 5.0);
   reactor_config.guard = server->config_.guard;
   NS_RETURN_IF_ERROR(server->reactor_.start(
@@ -126,10 +139,10 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
       },
       reactor_config));
   server->report_thread_ = std::thread([raw = server.get()] { raw->report_loop(); });
-  // Launch in journal (= original admission) order; EDF re-sorts by the
+  // Admit in journal (= original admission) order; EDF re-sorts by the
   // decayed deadlines anyway, and the sequence numbers keep FIFO ties.
   for (auto& job : std::exchange(server->recovered_jobs_, {})) {
-    server->launch(std::move(job));
+    if (server->admit(job)) server->launch(std::move(job));
   }
   return server;
 }
@@ -266,8 +279,7 @@ double ComputeServer::estimate_service_seconds(const proto::SolveRequest& reques
 
 int ComputeServer::effective_concurrency_locked() const {
   if (!config_.admission.aimd) return config_.workers;
-  return std::max(config_.admission.aimd_min,
-                  static_cast<int>(concurrency_limit_f_));
+  return std::max(kAimdMin, static_cast<int>(concurrency_limit_f_));
 }
 
 int ComputeServer::concurrency_limit() const {
@@ -278,32 +290,29 @@ int ComputeServer::concurrency_limit() const {
 double ComputeServer::retry_after_locked() const {
   const int limit = std::max(1, effective_concurrency_locked());
   const double per_job = service_ewma_s_ > 0.0 ? service_ewma_s_ : 0.02;
-  const double horizon = per_job * static_cast<double>(waiting_jobs_ + 1) / limit;
+  const double horizon = per_job * static_cast<double>(wait_queue_.size() + 1) / limit;
   return std::clamp(horizon, 0.002, 2.0);
 }
 
 void ComputeServer::aimd_on_success_locked() {
-  const auto& adm = config_.admission;
-  if (!adm.aimd) return;
+  if (!config_.admission.aimd) return;
   const int limit = effective_concurrency_locked();
   if (++aimd_successes_ < limit) return;
   aimd_successes_ = 0;
-  const double max_limit =
-      static_cast<double>(adm.aimd_max > 0 ? adm.aimd_max : config_.workers);
-  concurrency_limit_f_ = std::min(concurrency_limit_f_ + 1.0, max_limit);
+  // Never above the worker count: the handler pool is sized for it.
+  concurrency_limit_f_ =
+      std::min(concurrency_limit_f_ + 1.0, static_cast<double>(config_.workers));
   metrics_.concurrency_limit.set(effective_concurrency_locked());
 }
 
 void ComputeServer::aimd_on_overload_locked(double now) {
-  const auto& adm = config_.admission;
-  if (!adm.aimd) return;
+  if (!config_.admission.aimd) return;
   // Space decreases out: one congestion episode sheds many jobs at once,
   // and each shed must not each take its own multiplicative bite.
   if (now - aimd_last_decrease_ < 0.1) return;
   aimd_last_decrease_ = now;
   aimd_successes_ = 0;
-  concurrency_limit_f_ =
-      std::max(static_cast<double>(adm.aimd_min), concurrency_limit_f_ * adm.aimd_beta);
+  concurrency_limit_f_ = std::max<double>(kAimdMin, concurrency_limit_f_ * kAimdBeta);
   metrics_.aimd_backoff.inc();
   metrics_.concurrency_limit.set(effective_concurrency_locked());
 }
@@ -359,24 +368,23 @@ double ComputeServer::sojourn_p95() const {
   return sojourn_p95_locked();
 }
 
-void ComputeServer::remove_wait_entry_locked(WaitEntry& entry) {
-  auto [it, end] = wait_queue_.equal_range(entry.key);
-  for (; it != end; ++it) {
-    if (it->second == &entry) {
-      wait_queue_.erase(it);
-      return;
-    }
-  }
+void ComputeServer::unqueue_locked(ActiveJob& job) {
+  job.waiting = false;
+  wait_queue_.erase(job.queue_key);
+  metrics_.queue_depth.set(static_cast<double>(wait_queue_.size()));
+  const std::uint64_t client = job.request.client_id;
+  if (client != 0 && --waiting_by_client_[client] <= 0) waiting_by_client_.erase(client);
 }
 
-void ComputeServer::dispatch_locked() {
+void ComputeServer::dispatch_locked(Decisions& decided) {
+  // A stopping server grants and sheds nothing: stop() or the injected
+  // crash abandons what still waits.
+  if (stopping_.load()) return;
   const auto& adm = config_.admission;
-  bool woke_any = false;
   while (running_jobs_ < effective_concurrency_locked() && !wait_queue_.empty()) {
     const double now = now_seconds();
-    const auto it = wait_queue_.begin();
-    WaitEntry* entry = it->second;
-    const double sojourn = now - entry->enqueue_time;
+    const std::shared_ptr<ActiveJob> job = wait_queue_.begin()->second;
+    const double sojourn = now - job->enqueue_time;
     record_sojourn_locked(sojourn);
     metrics_.queue_sojourn_s.observe(sojourn);
 
@@ -384,62 +392,89 @@ void ComputeServer::dispatch_locked() {
     // (predictively) the remaining budget cannot cover the predicted
     // service — either way computing would only waste the slot. Dropped
     // retryably: a faster or idler server may still make the deadline.
-    const bool expired = adm.shed_expired && now >= entry->deadline_abs;
+    const bool expired = adm.shed_expired && now >= job->deadline_abs;
     const bool infeasible =
-        adm.shed_infeasible && entry->est_service_s > 0.0 &&
-        now + entry->est_service_s + adm.dispatch_slack_s > entry->deadline_abs;
+        adm.shed_infeasible && job->est_service_s > 0.0 &&
+        now + job->est_service_s + kDispatchSlackS > job->deadline_abs;
     if (expired || infeasible) {
-      wait_queue_.erase(it);
-      entry->dropped = true;
-      entry->drop_reason = "overload control: deadline budget lapsed in queue";
+      job->shed_reason = "overload control: deadline budget lapsed in queue";
+      metrics_.shed_dequeue.inc();
+    } else if (adm.codel_target_s > 0.0 && wait_queue_.size() > 1 &&
+               codel_should_drop_locked(sojourn, now)) {
+      // CoDel-style sojourn shedder: under sustained pressure, shedding the
+      // head (and telling its client to back off) is what keeps the queue
+      // wait of everything behind it bounded. Work-conserving tweak: never
+      // shed the only waiter when a slot is free for it.
+      job->shed_reason = "overload control: queue sojourn above CoDel target";
+      metrics_.shed_codel.inc();
+    }
+    if (job->shed_reason != nullptr) {
       // The hint damps re-enqueue churn: without it the client's next
       // attempt lands right back in the same congested queue.
-      entry->retry_after_s = retry_after_locked();
-      metrics_.shed_dequeue.inc();
+      job->retry_after_s = retry_after_locked();
       aimd_on_overload_locked(now);
-      woke_any = true;
-      continue;
+    } else {
+      // Memory gate: charge the working set (plus any spilled payload
+      // about to be re-materialized) before granting the slot. When the
+      // charge does not fit, stop dispatching — a completion will release
+      // bytes and rerun this loop; EDF order is preserved by blocking on
+      // the head. Progress guarantee: an otherwise-idle server
+      // force-charges its head-of-line job (counted, may overshoot the
+      // budget) rather than deadlocking against queued payloads that hold
+      // the budget.
+      const std::uint64_t need = job->ws_bytes + job->spilled_bytes;
+      if (need > 0 && !governor_.try_charge(need)) {
+        if (running_jobs_ > 0) break;
+        governor_.charge_forced(need);
+        metrics_.mem_forced_charge.inc();
+      }
+      // From here the charge is the job's to release (release_job_memory
+      // on every terminal path).
+      job->mem_charged_bytes += need;
+      ++running_jobs_;
     }
-
-    // CoDel-style sojourn shedder: under sustained pressure, shedding the
-    // head (and telling its client to back off) is what keeps the queue
-    // wait of everything behind it bounded. Work-conserving tweak: never
-    // shed the only waiter when a slot is free for it.
-    if (adm.codel_target_s > 0.0 && wait_queue_.size() > 1 &&
-        codel_should_drop_locked(sojourn, now)) {
-      wait_queue_.erase(it);
-      entry->dropped = true;
-      entry->drop_reason = "overload control: queue sojourn above CoDel target";
-      entry->retry_after_s = retry_after_locked();
-      metrics_.shed_codel.inc();
-      aimd_on_overload_locked(now);
-      woke_any = true;
-      continue;
-    }
-
-    // Memory gate: charge the working set (plus any spilled payload about
-    // to be re-materialized) before granting the slot. When the charge does
-    // not fit, stop dispatching — a completion will release bytes and rerun
-    // this loop; EDF order is preserved by blocking on the head. Progress
-    // guarantee: an otherwise-idle server force-charges its head-of-line
-    // job (counted, may overshoot the budget) rather than deadlocking
-    // against queued payloads that hold the budget.
-    const std::uint64_t need = entry->ws_bytes + entry->spilled_bytes;
-    if (need > 0 && !governor_.try_charge(need)) {
-      if (running_jobs_ > 0) break;
-      governor_.charge_forced(need);
-      metrics_.mem_forced_charge.inc();
-    }
-    entry->granted_bytes = need;
-    wait_queue_.erase(it);
-    entry->ready = true;
-    ++running_jobs_;
-    woke_any = true;
+    unqueue_locked(*job);
+    if (!job->spilling) decided.push_back(job);
   }
-  // One notify_all covers every decision made above: entries wake, find
-  // their ready/dropped flag, and proceed. Waiters that were not picked
-  // re-check their predicate and sleep again.
-  if (woke_any) jobs_cv_.notify_all();
+}
+
+void ComputeServer::carry_out(Decisions&& decided) {
+  for (auto& job : decided) {
+    if (job->shed_reason == nullptr) {
+      launch(std::move(job));
+      continue;
+    }
+    // Shed-at-dequeue: the dispatcher decided computing this job is not
+    // worth a slot (budget lapsed in queue, or CoDel pressure). Reply
+    // retryably — another, less loaded server may still make it — with
+    // the dispatcher's backpressure hint attached.
+    NS_DEBUG("server") << config_.name << " shed queued request "
+                       << job->request.request_id << " (" << job->shed_reason << ")";
+    proto::SolveResult result;
+    result.request_id = job->request.request_id;
+    result.retry_after_s = job->retry_after_s;
+    result.queue_seconds = job->queue_watch.elapsed();
+    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
+    result.error_message = job->shed_reason;
+    reply(job, std::move(result));
+  }
+}
+
+void ComputeServer::release_slot(std::optional<double> clean_service_s) {
+  Decisions decided;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    --running_jobs_;
+    if (clean_service_s) {
+      aimd_on_success_locked();
+      // Service-time EWMA feeds the retry_after backpressure hint.
+      service_ewma_s_ = service_ewma_s_ == 0.0
+                            ? *clean_service_s
+                            : 0.8 * service_ewma_s_ + 0.2 * *clean_service_s;
+    }
+    dispatch_locked(decided);
+  }
+  carry_out(std::move(decided));
 }
 
 bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) {
@@ -465,7 +500,6 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
             proto::CancelAck ack;
             ack.request_id = cancel.request_id;
             ack.outcome = cancel_jobs(cancel.request_id);
-            wake_queued_jobs();
             return ack;
           });
     case MessageType::kDrainRequest:
@@ -475,7 +509,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
             {
               std::lock_guard<std::mutex> lock(jobs_mu_);
               ack.running = static_cast<std::uint32_t>(running_jobs_);
-              ack.queued = static_cast<std::uint32_t>(waiting_jobs_);
+              ack.queued = static_cast<std::uint32_t>(wait_queue_.size());
             }
             ack.started = start_drain(drain.deadline_s);
             return ack;
@@ -525,10 +559,14 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
     }
   }();
   proto::SolveResult result;
+  // A reply that leaves before the request becomes a job.
+  const auto reply_now = [&](ErrorCode code, std::string message) {
+    result.error_code = static_cast<std::uint16_t>(code);
+    result.error_message = std::move(message);
+    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+  };
   if (!request.ok()) {
-    result.error_code = static_cast<std::uint16_t>(request.error().code);
-    result.error_message = request.error().message;
-    (void)conn->send(solve_result, encode_payload(result), config_.link);
+    (void)reply_now(request.error().code, request.error().message);
     return false;
   }
   result.request_id = request.value().request_id;
@@ -546,7 +584,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
       // (from the owner) do the full teardown. handle_message rejects all
       // further frames meanwhile.
       reactor_.stop_accepting();
-      wake_queued_jobs();
+      abandon_queued_jobs();
       return false;
     case FailureSpec::Mode::kDropRequest:
       NS_DEBUG("server") << config_.name << " injected connection drop";
@@ -558,22 +596,17 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
       NS_DEBUG("server") << config_.name << " injected hang";
       return true;
     case FailureSpec::Mode::kErrorReply:
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerFailure);
-      result.error_message = "injected failure";
-      return conn->send(solve_result, encode_payload(result), config_.link).ok();
+      return reply_now(ErrorCode::kServerFailure, "injected failure");
     case FailureSpec::Mode::kNone:
       break;
   }
 
-  // Acquire a worker slot; waiting requests count toward workload.
   metrics_.requests.inc();
   if (draining_.load()) {
     // Retryable: the client's failover moves this request to another
     // server, which is the whole point of draining.
     metrics_.drain_rejected.inc();
-    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-    result.error_message = "server draining";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return reply_now(ErrorCode::kServerOverloaded, "server draining");
   }
   // A job that insists on durability cannot run where the journal has
   // fail-stopped (or never existed). Shed retryably — the agent already
@@ -583,15 +616,15 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   if (request.value().require_durable &&
       (config_.data_dir.empty() || degraded_.load())) {
     metrics_.store_degraded_shed.inc();
-    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-    result.error_message = "durability degraded: journal unavailable";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return reply_now(ErrorCode::kServerOverloaded, "durability degraded: journal unavailable");
   }
   // Visible to CANCEL, PROBE and the drain sweep from admission to reply.
-  // The request moves into the job so compaction and migration can
-  // re-serialize it without this handler thread's cooperation.
+  // The job carries the request, so compaction and migration can
+  // re-serialize it, and the connection, held open until the reply leaves.
   auto job = std::make_shared<ActiveJob>();
   job->request = std::move(request).value();
+  job->conn = net::ConnHold(conn);
+  job->since_receipt = since_receipt;
   {
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
     active_jobs_.emplace(result.request_id, job);
@@ -602,203 +635,162 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   journal_admit(*job, job->request.deadline_s > 0.0
                           ? job->request.deadline_s - since_receipt.elapsed()
                           : 0.0);
-  auto reply = run_job(job, since_receipt);
-  if (!reply) return false;  // stopping or crashed: no reply leaves
-  return conn->send(solve_result, encode_reply(std::move(reply)), config_.link).ok();
+  // Granted at once: run it here rather than hand it to another thread.
+  // Otherwise the wait queue owns the job and this thread is free.
+  if (admit(job)) run(job);
+  return true;
 }
 
-std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
-    const std::shared_ptr<ActiveJob>& job, const Stopwatch& since_receipt) {
+bool ComputeServer::admit(const std::shared_ptr<ActiveJob>& job) {
+  const proto::SolveRequest& request = job->request;
+  job->queue_watch.reset();
+  job->est_service_s = estimate_service_seconds(request);
+  job->payload_bytes = dsl::args_byte_size(request.args);
+  job->ws_bytes = estimate_working_set_bytes(request);
+  std::unique_lock<std::mutex> lock(jobs_mu_);
+  const auto& adm = config_.admission;
+  // Every refusal is retryable; `hint` attaches the backpressure estimate.
+  const auto refuse = [&](metrics::ScopedCounter& counter, const char* why, bool hint) {
+    proto::SolveResult result;
+    result.request_id = request.request_id;
+    if (hint) result.retry_after_s = retry_after_locked();
+    lock.unlock();
+    counter.inc();
+    result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
+    result.error_message = why;
+    reply(job, std::move(result));
+    return false;
+  };
+  // Recovered and transferred-in jobs (readmit) skip the admission
+  // rejections: they were accepted once already, and shedding them now
+  // would turn a durability guarantee into a coin flip.
+  if (!job->readmit && config_.max_queue > 0 &&
+      wait_queue_.size() >= static_cast<std::size_t>(config_.max_queue)) {
+    return refuse(metrics_.rejected, "admission control: queue full", true);
+  }
+  // Per-client fair share: when quotas are on, a single client id may
+  // occupy at most its fraction of the queue slots. Anonymous requests
+  // (client_id 0 — older clients) are exempt rather than lumped into
+  // one shared bucket that they would starve each other out of.
+  if (!job->readmit && adm.quota_fraction > 0.0 && config_.max_queue > 0 &&
+      request.client_id != 0) {
+    const int quota = std::max(
+        1, static_cast<int>(std::llround(adm.quota_fraction * config_.max_queue)));
+    const auto used = waiting_by_client_.find(request.client_id);
+    if (used != waiting_by_client_.end() && used->second >= quota) {
+      return refuse(metrics_.shed_quota, "admission control: per-client quota exceeded", true);
+    }
+  }
+  // Infeasible at admission: the predicted service time alone already
+  // exceeds the remaining budget, so even an empty queue cannot save
+  // this job. Shedding now (retryably) lets the client spend its budget
+  // on a faster server instead of on our queue.
+  if (!job->readmit && adm.shed_infeasible && request.deadline_s > 0.0 &&
+      job->est_service_s > 0.0) {
+    const double remaining = request.deadline_s - job->since_receipt.elapsed();
+    if (job->est_service_s + kDispatchSlackS > remaining) {
+      NS_DEBUG("server") << config_.name << " shed request " << request.request_id
+                         << " at admission (predicted " << job->est_service_s
+                         << "s > remaining " << remaining << "s)";
+      return refuse(metrics_.shed_admission,
+                    "admission control: predicted service time exceeds deadline budget",
+                    false);
+    }
+  }
+  // Memory admission: the payload is charged to the governor before the
+  // job may queue (the bytes already exist in RAM — the account must say
+  // so), and a job whose payload + working set exceed the per-job budget
+  // can never run here, so queueing it would only waste its deadline.
+  // Both refusals shed retryably with a backpressure hint: the agent
+  // already de-prefers this server (mem_free_bytes in workload reports),
+  // so the client's retry lands on a peer with headroom. Recovered and
+  // transferred-in jobs charge unconditionally — shedding them would
+  // break the durability contract.
+  if (job->payload_bytes > 0) {
+    const std::uint64_t need = job->payload_bytes + job->ws_bytes;
+    const std::uint64_t cap = governor_.per_job_budget();
+    const bool oversized = governor_.governed() && need > cap;
+    if (!job->readmit && (oversized || !governor_.try_charge(job->payload_bytes))) {
+      mem_dirty_.store(true);
+      return refuse(metrics_.mem_shed,
+                    oversized ? "memory governor: payload + working set exceed per-job budget"
+                              : "memory governor: payload does not fit the budget",
+                    true);
+    }
+    if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
+      governor_.charge_forced(job->payload_bytes);
+      metrics_.mem_forced_charge.inc();
+    }
+    job->mem_charged_bytes += job->payload_bytes;
+  }
+  // Admit into the EDF wait queue. With EDF off the key degenerates to
+  // the arrival sequence number, i.e. plain FIFO. No-deadline jobs sort
+  // last under EDF (deadline_abs ~ +inf) — they can afford to wait.
+  metrics_.admit.inc();
+  const double now = now_seconds();
+  job->enqueue_time = now;
+  job->deadline_abs = request.deadline_s > 0.0
+                          ? now + (request.deadline_s - job->since_receipt.elapsed())
+                          : 1e300;
+  job->queue_key = {adm.edf ? job->deadline_abs : 0.0, queue_seq_++};
+  wait_queue_.emplace(job->queue_key, job);
+  job->waiting = true;
+  if (request.client_id != 0) ++waiting_by_client_[request.client_id];
+  metrics_.queue_depth.set(static_cast<double>(wait_queue_.size()));
+  Decisions decided;
+  dispatch_locked(decided);
+  // Queued-but-cold payload spill: a job the dispatcher did not grant
+  // immediately parks its encoded request on disk (through the vfs seam)
+  // and releases the RAM charge, so the budget funds *running* jobs
+  // instead of queue ballast. The I/O happens with jobs_mu_ dropped; a
+  // grant or shed that lands meanwhile is left for this thread to carry
+  // out, and a grant keeps the payload charged so the run reloads it.
+  if (job->waiting && should_spill_locked(*job)) {
+    job->spilling = true;
+    lock.unlock();
+    const bool parked = spill_job(job);
+    lock.lock();
+    job->spilling = false;
+    if (!job->waiting) {
+      decided.push_back(job);
+    } else if (stopping_.load() || job->token.cancelled()) {
+      // Stop and cancel leave a spilling job queued for this thread to end.
+      unqueue_locked(*job);
+      lock.unlock();
+      carry_out(std::move(decided));
+      cancel_queued(job);
+      return false;
+    } else if (parked) {
+      governor_.release(job->payload_bytes);
+      job->mem_charged_bytes -= std::min<std::uint64_t>(job->mem_charged_bytes,
+                                                        job->payload_bytes);
+      job->spilled_bytes = job->payload_bytes;
+      // The freed bytes may be exactly what the memory-blocked head of
+      // the queue was waiting for.
+      dispatch_locked(decided);
+    }
+  }
+  const auto own = std::find(decided.begin(), decided.end(), job);
+  const bool granted = own != decided.end() && job->shed_reason == nullptr;
+  if (granted) decided.erase(own);
+  lock.unlock();
+  carry_out(std::move(decided));
+  return granted;
+}
+
+void ComputeServer::run(const std::shared_ptr<ActiveJob>& job) {
   const proto::SolveRequest& request = job->request;
   proto::SolveResult result;
   result.request_id = request.request_id;
 
-  const Stopwatch queue_watch;
-  const double est_service = estimate_service_seconds(request);
-  job->payload_bytes = dsl::args_byte_size(request.args);
-  job->ws_bytes = estimate_working_set_bytes(request);
-  WaitEntry entry;
-  {
-    std::unique_lock<std::mutex> lock(jobs_mu_);
-    const auto& adm = config_.admission;
-    const double now = now_seconds();
-    // Recovered and transferred-in jobs (readmit) skip the admission
-    // rejections: they were accepted once already, and shedding them now
-    // would turn a durability guarantee into a coin flip.
-    if (!job->readmit && config_.max_queue > 0 && waiting_jobs_ >= config_.max_queue) {
-      result.retry_after_s = retry_after_locked();
-      lock.unlock();
-      metrics_.rejected.inc();
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-      result.error_message = "admission control: queue full";
-      return finish_job(job, std::move(result));
-    }
-    // Per-client fair share: when quotas are on, a single client id may
-    // occupy at most its fraction of the queue slots. Anonymous requests
-    // (client_id 0 — older clients) are exempt rather than lumped into
-    // one shared bucket that they would starve each other out of.
-    if (!job->readmit && adm.quota_fraction > 0.0 && config_.max_queue > 0 &&
-        request.client_id != 0) {
-      const int quota = std::max(
-          1, static_cast<int>(std::llround(adm.quota_fraction * config_.max_queue)));
-      const auto used = waiting_by_client_.find(request.client_id);
-      if (used != waiting_by_client_.end() && used->second >= quota) {
-        result.retry_after_s = retry_after_locked();
-        lock.unlock();
-        metrics_.shed_quota.inc();
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message = "admission control: per-client quota exceeded";
-        return finish_job(job, std::move(result));
-      }
-    }
-    // Infeasible at admission: the predicted service time alone already
-    // exceeds the remaining budget, so even an empty queue cannot save
-    // this job. Shedding now (retryably) lets the client spend its budget
-    // on a faster server instead of on our queue.
-    if (!job->readmit && adm.shed_infeasible && request.deadline_s > 0.0 &&
-        est_service > 0.0) {
-      const double remaining = request.deadline_s - since_receipt.elapsed();
-      if (est_service + adm.dispatch_slack_s > remaining) {
-        lock.unlock();
-        metrics_.shed_admission.inc();
-        NS_DEBUG("server") << config_.name << " shed request " << result.request_id
-                           << " at admission (predicted " << est_service
-                           << "s > remaining " << remaining << "s)";
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message =
-            "admission control: predicted service time exceeds deadline budget";
-        return finish_job(job, std::move(result));
-      }
-    }
-    // Memory admission: the payload is charged to the governor before the
-    // job may queue (the bytes already exist in RAM — the account must say
-    // so), and a job whose payload + working set exceed the per-job budget
-    // can never run here, so queueing it would only waste its deadline.
-    // Both refusals shed retryably with a backpressure hint: the agent
-    // already de-prefers this server (mem_free_bytes in workload reports),
-    // so the client's retry lands on a peer with headroom. Recovered and
-    // transferred-in jobs charge unconditionally — shedding them would
-    // break the durability contract.
-    if (job->mem_charged_bytes == 0 && job->payload_bytes > 0) {
-      const std::uint64_t need = job->payload_bytes + job->ws_bytes;
-      const std::uint64_t cap = governor_.per_job_budget();
-      const bool oversized = governor_.governed() && need > cap;
-      if (!job->readmit && (oversized || !governor_.try_charge(job->payload_bytes))) {
-        result.retry_after_s = retry_after_locked();
-        lock.unlock();
-        metrics_.mem_shed.inc();
-        mem_dirty_.store(true);
-        result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-        result.error_message =
-            oversized ? "memory governor: payload + working set exceed per-job budget"
-                      : "memory governor: payload does not fit the budget";
-        return finish_job(job, std::move(result));
-      }
-      if (job->readmit && !governor_.try_charge(job->payload_bytes)) {
-        governor_.charge_forced(job->payload_bytes);
-        metrics_.mem_forced_charge.inc();
-      }
-      job->mem_charged_bytes += job->payload_bytes;
-    }
-    // Admit into the EDF wait queue. With EDF off the key degenerates to
-    // the arrival sequence number, i.e. plain FIFO. No-deadline jobs sort
-    // last under EDF (deadline_abs ~ +inf) — they can afford to wait.
-    metrics_.admit.inc();
-    entry.enqueue_time = now;
-    entry.deadline_abs = request.deadline_s > 0.0
-                             ? now + (request.deadline_s - since_receipt.elapsed())
-                             : 1e300;
-    entry.est_service_s = est_service;
-    entry.client_id = request.client_id;
-    entry.ws_bytes = job->ws_bytes;
-    entry.key = {adm.edf ? entry.deadline_abs : 0.0, queue_seq_++};
-    job->deadline_abs = entry.deadline_abs;
-    wait_queue_.emplace(entry.key, &entry);
-    if (entry.client_id != 0) ++waiting_by_client_[entry.client_id];
-    ++waiting_jobs_;
-    metrics_.queue_depth.set(waiting_jobs_);
-    dispatch_locked();
-    // Queued-but-cold payload spill: a job the dispatcher did not grant
-    // immediately parks its encoded request on disk (through the vfs seam)
-    // and releases the RAM charge, so the budget funds *running* jobs
-    // instead of queue ballast. The I/O happens with jobs_mu_ dropped;
-    // a grant or drop that raced the spill simply leaves the payload
-    // charged and the wake path reloads it right away.
-    if (!entry.ready && !entry.dropped && should_spill_locked(*job)) {
-      lock.unlock();
-      const bool parked = spill_job(job);
-      lock.lock();
-      if (parked && !entry.ready && !entry.dropped && !stopping_.load() &&
-          !job->token.cancelled()) {
-        governor_.release(job->payload_bytes);
-        job->mem_charged_bytes -= std::min<std::uint64_t>(job->mem_charged_bytes,
-                                                          job->payload_bytes);
-        entry.spilled_bytes = job->payload_bytes;
-        // The freed bytes may be exactly what the memory-blocked head of
-        // the queue was waiting for.
-        dispatch_locked();
-      }
-    }
-    jobs_cv_.wait(lock, [this, &job, &entry] {
-      return entry.ready || entry.dropped || stopping_.load() || job->token.cancelled();
-    });
-    --waiting_jobs_;
-    metrics_.queue_depth.set(waiting_jobs_);
-    if (entry.client_id != 0) {
-      const auto used = waiting_by_client_.find(entry.client_id);
-      if (used != waiting_by_client_.end() && --used->second <= 0) {
-        waiting_by_client_.erase(used);
-      }
-    }
-    // Whatever happens next, the dispatcher's grant-time charge is now this
-    // job's to release (release_job_memory on every terminal path).
-    job->mem_charged_bytes += entry.granted_bytes;
-    if (!entry.ready && !entry.dropped) {
-      // Woken by stop or cancel while still queued: unlink our stack
-      // entry before the dispatcher can hand out a dangling pointer.
-      remove_wait_entry_locked(entry);
-    } else if (entry.ready && (stopping_.load() || job->token.cancelled())) {
-      // Slot granted but we will not use it; hand it to the next waiter.
-      --running_jobs_;
-      entry.ready = false;
-      dispatch_locked();
-    }
-    if (stopping_.load()) {
-      // No terminal record on purpose: a stop with an open journal is
-      // indistinguishable from a crash for queued jobs, and replay will
-      // re-admit them — exactly what a durable queue is for.
-      lock.unlock();
-      release_job_memory(job);
-      erase_active_job(job, result.request_id);
-      return nullptr;
-    }
-    if (job->token.cancelled()) {
-      // Cancelled while queued: checked before taking the slot so a
-      // cancel can never also count as a shed or a completion.
-      lock.unlock();
-      metrics_.cancelled_queued.inc();
-      NS_DEBUG("server") << config_.name << " dropped queued request "
-                         << result.request_id << " (cancelled)";
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kCancelled);
-      result.error_message = "cancelled while queued";
-      return finish_job(job, std::move(result));
-    }
-    if (entry.dropped) {
-      // Shed-at-dequeue: the dispatcher decided computing this job is not
-      // worth a slot (budget lapsed in queue, or CoDel pressure). Reply
-      // retryably — another, less loaded server may still make it — with
-      // the dispatcher's backpressure hint attached.
-      result.retry_after_s = entry.retry_after_s;
-      lock.unlock();
-      result.queue_seconds = queue_watch.elapsed();
-      NS_DEBUG("server") << config_.name << " shed queued request "
-                         << result.request_id << " (" << entry.drop_reason << ")";
-      result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
-      result.error_message = entry.drop_reason;
-      return finish_job(job, std::move(result));
-    }
-    job->queued.store(false);
+  // A stop or a cancel that overtook the grant: the slot goes back unused,
+  // and the cancel counts as one of a queued job.
+  if (stopping_.load() || job->token.cancelled()) {
+    release_slot();
+    cancel_queued(job);
+    return;
   }
+  job->queued.store(false);
   // Re-materialize a spilled payload before touching the kernel: the
   // dispatcher already charged the bytes at grant, so the reload cannot
   // overrun the budget. A reload failure (storage fault, bit rot, injected
@@ -806,11 +798,7 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
   // resubmission carries the payload again.
   if (job->spilled) {
     if (auto reloaded = reload_spilled(job); !reloaded.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(jobs_mu_);
-        --running_jobs_;
-        dispatch_locked();
-      }
+      release_slot();
       metrics_.mem_spill_reload_errors.inc();
       metrics_.mem_shed.inc();
       NS_WARN("server") << config_.name << " spill reload failed for request "
@@ -818,13 +806,14 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
                         << reloaded.error().to_string();
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
       result.error_message = "memory governor: spill reload failed";
-      return finish_job(job, std::move(result));
+      reply(job, std::move(result));
+      return;
     }
   }
-  const double queue_wait = queue_watch.elapsed();
+  const double queue_wait = job->queue_watch.elapsed();
   result.queue_seconds = queue_wait;
   trace::record_span(metrics_.span_queue_wait, request.trace_id, "server.queue_wait",
-                     since_receipt.elapsed() - queue_wait, queue_wait);
+                     job->since_receipt.elapsed() - queue_wait, queue_wait);
 
   // Checkpoint wiring: the kernel snapshots its loop state every interval;
   // with a journal open each snapshot also lands as a CHECKPOINT record, and
@@ -837,7 +826,7 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     if (journal_ckpt || replicate) {
       // Raw pointer on purpose: capturing the shared_ptr would cycle
       // (job -> ckpt -> callback -> job). The callback only fires from the
-      // kernel thread inside run_job, which holds the shared_ptr.
+      // kernel thread inside run(), which holds the shared_ptr.
       job->ckpt.set_on_snapshot([this, id = result.request_id, journal_ckpt,
                                  replicate, jp = job.get()](
                                     const checkpoint::Snapshot& snap) {
@@ -925,21 +914,11 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
   // see this job's bytes gone or it would force-charge the next grant past
   // the budget. Idempotent — finish_job / the crash path release again.
   release_job_memory(job);
-  {
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-    --running_jobs_;
-    if (outputs.ok()) {
-      aimd_on_success_locked();
-      // Service-time EWMA feeds the retry_after backpressure hint.
-      service_ewma_s_ =
-          service_ewma_s_ == 0.0 ? elapsed : 0.8 * service_ewma_s_ + 0.2 * elapsed;
-    }
-    dispatch_locked();
-  }
+  release_slot(outputs.ok() ? std::optional<double>(elapsed) : std::nullopt);
 
   result.exec_seconds = elapsed;
   trace::record_span(metrics_.span_compute, request.trace_id, "server.compute",
-                     since_receipt.elapsed() - elapsed, elapsed);
+                     job->since_receipt.elapsed() - elapsed, elapsed);
   // stop() trips running jobs as crash() does. A job it unwound ends like a
   // queued job at stop: no terminal record or count, so replay resumes it
   // from its last checkpoint, and no reply.
@@ -950,9 +929,8 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     // leave — to the outside world this job died with the process. The
     // byte account is process memory, not durable state, so it is still
     // released (the emulated-dead server shares this address space).
-    release_job_memory(job);
-    erase_active_job(job, result.request_id);
-    return nullptr;
+    abandon(job);
+    return;
   }
   if (outputs.ok()) {
     result.outputs = std::move(outputs).value();
@@ -978,12 +956,56 @@ std::shared_ptr<const proto::SolveResult> ComputeServer::run_job(
     result.error_code = static_cast<std::uint16_t>(outputs.error().code);
     result.error_message = outputs.error().message;
   }
-  return finish_job(job, std::move(result));
+  reply(job, std::move(result));
+}
+
+void ComputeServer::reply(const std::shared_ptr<ActiveJob>& job, proto::SolveResult&& result) {
+  auto shared = finish_job(job, std::move(result));
+  if (!job->conn) return;  // the caller re-attaches with PROBE
+  // A failed send means the connection is already closing.
+  (void)job->conn->send(static_cast<std::uint16_t>(MessageType::kSolveResult),
+                        encode_reply(std::move(shared)), config_.link);
+}
+
+void ComputeServer::cancel_queued(const std::shared_ptr<ActiveJob>& job) {
+  if (stopping_.load()) {
+    abandon(job);
+    return;
+  }
+  metrics_.cancelled_queued.inc();
+  NS_DEBUG("server") << config_.name << " dropped queued request "
+                     << job->request.request_id << " (cancelled)";
+  proto::SolveResult result;
+  result.request_id = job->request.request_id;
+  result.error_code = static_cast<std::uint16_t>(ErrorCode::kCancelled);
+  result.error_message = "cancelled while queued";
+  reply(job, std::move(result));
+}
+
+void ComputeServer::abandon(const std::shared_ptr<ActiveJob>& job) {
+  release_job_memory(job);
+  erase_active_job(job, job->request.request_id);
+  // As a handler that returns without replying: the client sees the
+  // connection drop and fails over.
+  if (job->conn) job->conn->close();
+}
+
+void ComputeServer::abandon_queued_jobs() {
+  Decisions queued;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    for (const auto& [key, job] : wait_queue_) {
+      if (!job->spilling) queued.push_back(job);  // a spilling one: its handler ends it
+    }
+    for (const auto& job : queued) unqueue_locked(*job);
+  }
+  for (const auto& job : queued) abandon(job);
 }
 
 double ComputeServer::current_workload() const {
   std::lock_guard<std::mutex> lock(jobs_mu_);
-  return static_cast<double>(running_jobs_ + waiting_jobs_) + background_load_.load();
+  return static_cast<double>(running_jobs_) + static_cast<double>(wait_queue_.size()) +
+         background_load_.load();
 }
 
 void ComputeServer::send_workload_report(double workload) {
@@ -1069,17 +1091,28 @@ proto::CancelOutcome ComputeServer::cancel_jobs(std::uint64_t request_id) {
   // request_ids are client-minted: trip every job carrying the id and report
   // the most-advanced state found. An unknown id reports kCompleted — the
   // reply already left (or never arrived), so there is nothing to reclaim.
-  std::lock_guard<std::mutex> lock(active_jobs_mu_);
+  // A waiting job is unlinked and answered here. A granted one meets its
+  // token when it starts; a spilling one, when its admitting handler relocks.
   auto outcome = proto::CancelOutcome::kCompleted;
-  auto [it, end] = active_jobs_.equal_range(request_id);
-  for (; it != end; ++it) {
-    it->second->token.cancel();
-    if (!it->second->queued.load()) {
-      outcome = proto::CancelOutcome::kRunning;
-    } else if (outcome == proto::CancelOutcome::kCompleted) {
-      outcome = proto::CancelOutcome::kQueued;
+  std::vector<std::shared_ptr<ActiveJob>> unlinked;
+  {
+    std::scoped_lock lock(active_jobs_mu_, jobs_mu_);  // the one place both are held
+    auto [it, end] = active_jobs_.equal_range(request_id);
+    for (; it != end; ++it) {
+      const auto& job = it->second;
+      job->token.cancel();
+      if (!job->queued.load()) {
+        outcome = proto::CancelOutcome::kRunning;
+        continue;
+      }
+      if (outcome == proto::CancelOutcome::kCompleted) outcome = proto::CancelOutcome::kQueued;
+      if (job->waiting && !job->spilling) {
+        unqueue_locked(*job);
+        unlinked.push_back(job);
+      }
     }
   }
+  for (const auto& job : unlinked) cancel_queued(job);
   return outcome;
 }
 
@@ -1166,15 +1199,10 @@ void ComputeServer::restore_from_replay(ReplaySummary replay) {
 }
 
 void ComputeServer::launch(std::shared_ptr<ActiveJob> job) {
-  // A refused submit means stop() has begun: the job is then exactly a
-  // queued job woken by the stop — no terminal record, so replay re-admits
-  // it if a journal holds it.
-  (void)reactor_.submit([this, job = std::move(job)] {
-    const Stopwatch since_receipt;
-    // No client connection to answer — the original caller re-attaches
-    // with a PROBE and reads the stored result.
-    (void)run_job(job, since_receipt);
-  });
+  // A refused submit means stop() has begun: the job stays registered, and
+  // stop() abandons it once the pool is joined — no terminal record, so
+  // replay re-admits it if a journal holds it.
+  (void)reactor_.submit([this, job = std::move(job)] { run(job); });
 }
 
 void ComputeServer::readmit(proto::SolveRequest request, double deadline_s,
@@ -1205,7 +1233,7 @@ void ComputeServer::readmit(proto::SolveRequest request, double deadline_s,
     }
     job->ckpt.install_restore(std::move(snapshot));
   }
-  launch(std::move(job));
+  if (admit(job)) launch(std::move(job));
 }
 
 void ComputeServer::journal_append_locked(const JournalRecord& record) {
@@ -2002,16 +2030,14 @@ void ComputeServer::drain_work(double deadline_s) {
 
   const double budget = deadline_s > 0.0 ? deadline_s : config_.io_timeout_s;
   const Deadline deadline(budget);
-  // Quiescence needs both views: the scheduler's counters drop as soon as a
-  // kernel unwinds, but a drain-migrated job is still doing network hand-off
-  // after that — it leaves active_jobs_ only once the transfer (or its
-  // fallback cancel reply) has been resolved. Reporting drained before then
-  // would let callers read jobs_migrated() mid-flight.
+  // Quiescent once no job is registered: every waiting and running job is,
+  // from admission until its terminal record. The scheduler's counters
+  // would drop too early — a drain-migrated job is still doing network
+  // hand-off after its kernel unwinds, and leaves active_jobs_ only once
+  // the transfer (or its fallback cancel reply) has been resolved.
+  // Reporting drained before then would let callers read jobs_migrated()
+  // mid-flight.
   auto quiescent = [this] {
-    {
-      std::lock_guard<std::mutex> lock(jobs_mu_);
-      if (running_jobs_ + waiting_jobs_ != 0) return false;
-    }
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
     return active_jobs_.empty();
   };
@@ -2020,10 +2046,11 @@ void ComputeServer::drain_work(double deadline_s) {
   }
 
   if (!quiescent()) {
-    // Deadline lapsed: cancel everything still in flight. The owning
-    // connection threads unwind through their checkpoints and reply
-    // kCancelled (retryable — the work moves to another server).
-    std::size_t tripped = 0;
+    // Deadline lapsed: cancel everything still in flight. Queued jobs are
+    // answered kCancelled at once; running ones unwind through their
+    // checkpoints and reply kCancelled (retryable — the work moves to
+    // another server).
+    std::vector<std::uint64_t> ids;
     {
       std::lock_guard<std::mutex> lock(active_jobs_mu_);
       for (auto& [id, job] : active_jobs_) {
@@ -2034,13 +2061,12 @@ void ComputeServer::drain_work(double deadline_s) {
         if (config_.migrate_on_drain && !job->queued.load()) {
           job->migrate.store(true);
         }
-        job->token.cancel();
-        ++tripped;
+        if (ids.empty() || ids.back() != id) ids.push_back(id);
       }
     }
-    wake_queued_jobs();
-    NS_WARN("server") << config_.name << " drain deadline lapsed; cancelled " << tripped
-                      << " outstanding job(s)";
+    for (const std::uint64_t id : ids) (void)cancel_jobs(id);
+    NS_WARN("server") << config_.name << " drain deadline lapsed; cancelled " << ids.size()
+                      << " outstanding request id(s)";
     const Deadline grace(config_.io_timeout_s);
     while (!quiescent() && !grace.expired() && !stopping_.load()) {
       sleep_seconds(0.01);
@@ -2051,31 +2077,27 @@ void ComputeServer::drain_work(double deadline_s) {
   NS_INFO("server") << config_.name << " drained";
 }
 
-void ComputeServer::wake_queued_jobs() {
-  {
-    // Lock-then-notify so a queued job that checked its token (or
-    // stopping_) just before blocking cannot miss the wakeup.
-    std::lock_guard<std::mutex> lock(jobs_mu_);
-  }
-  jobs_cv_.notify_all();
-}
-
 void ComputeServer::stop() {
   // Single flow whether the stop is local or was flagged by an injected
-  // crash. Order matters: queued jobs — live solves and launched ones alike
-  // — block on jobs_cv_ inside reactor pool threads, so the condvar must be
-  // woken (with stopping_ visible) *before* reactor_.stop() joins those
-  // threads, or the join deadlocks. Once the join returns, no job of this
-  // server is still running.
+  // crash. Queued jobs hold no thread. Running jobs unwind at their next
+  // kernel checkpoint instead of being waited out; run() suppresses their
+  // replies and terminal records. Once reactor_.stop() has joined the pool,
+  // no job of this server runs.
   stopping_.store(true);
-  // Running jobs unwind at their next kernel checkpoint instead of being
-  // waited out; run_job suppresses their replies and terminal records.
   {
     std::lock_guard<std::mutex> lock(active_jobs_mu_);
     for (auto& [id, job] : active_jobs_) job->token.cancel();
   }
-  wake_queued_jobs();
   reactor_.stop();
+  // What is still registered waits in the queue, or was granted and then
+  // dropped unstarted from the pool's FIFO; each ends as at a crash.
+  abandon_queued_jobs();
+  std::vector<std::shared_ptr<ActiveJob>> left;
+  {
+    std::lock_guard<std::mutex> lock(active_jobs_mu_);
+    for (auto& [id, job] : active_jobs_) left.push_back(job);
+  }
+  for (const auto& job : left) abandon(job);
   listener_.close();  // only still bound if start() failed before the reactor adopted it
   if (report_thread_.joinable()) report_thread_.join();
   if (drain_thread_.joinable()) drain_thread_.join();

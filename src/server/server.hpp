@@ -3,9 +3,10 @@
 // Registers its problem catalogue and rating with an agent, then serves
 // SolveRequests from clients. Connections live on an epoll reactor
 // (net/reactor.hpp): frames from any number of keep-alive connections are
-// decoded on one event loop and dispatched to an elastic handler pool, so
-// concurrent requests pipeline over a single client connection. Admission
-// past the handler is still the bounded worker-slot queue; workload — the
+// decoded on one event loop and dispatched to a fixed handler pool, so
+// concurrent requests pipeline over a single client connection. A solve
+// handler admits its job into the wait queue, which owns it until a worker
+// slot is granted, and returns; a queued job holds no thread. Workload — the
 // number of requests running or waiting plus any configured synthetic
 // background load — is reported to the agent periodically with a change
 // threshold, reproducing the original system's traffic-bounded reporting.
@@ -22,12 +23,12 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <utility>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +75,9 @@ enum class SlowdownMode { kSpin, kSleep };
 /// defaults keep the pre-existing behavior observable by tests — EDF is
 /// benign without deadlines (it degrades to FIFO), the CoDel shedder and
 /// per-client quotas are opt-in, and the AIMD limit starts disabled so the
-/// static worker count still rules unless a deployment turns it on.
+/// static worker count still rules unless a deployment turns it on. The
+/// feasibility slack (20 ms) and the AIMD floor (1), ceiling (the worker
+/// count) and decrease factor (0.7) are fixed in server.cpp.
 struct AdmissionConfig {
   /// Order the wait queue earliest-deadline-first instead of by arrival.
   /// Jobs without a deadline sort last (FIFO among themselves).
@@ -87,12 +90,6 @@ struct AdmissionConfig {
   /// retryably, instead of computing an answer nobody is waiting for.
   /// Exists as a knob only so benches can measure the uncontrolled baseline.
   bool shed_expired = true;
-  /// Headroom added to the predicted service time in both feasibility
-  /// checks. EDF serves the most-urgent feasible job, which under overload
-  /// is always the one at the feasibility edge — without slack for the
-  /// reply transfer and thread scheduling, those jobs complete a hair past
-  /// their deadline: compute spent, client already gone.
-  double dispatch_slack_s = 0.02;
   /// CoDel-style sojourn shedder: once the queue wait of dequeued jobs has
   /// stayed above `codel_target_s` for a full `codel_interval_s`, shed
   /// queued jobs at dequeue with the classic interval/sqrt(count) cadence
@@ -105,16 +102,12 @@ struct AdmissionConfig {
   /// cannot starve the rest. 0 disables. Requests without a client id
   /// (older peers) are exempt.
   double quota_fraction = 0.0;
-  /// AIMD concurrency limit replacing the static worker count: additive
-  /// increase (+1 after a limit's worth of clean completions, up to
-  /// aimd_max), multiplicative decrease (* aimd_beta, floored at aimd_min)
-  /// on every overload signal (deadline or CoDel shed), decreases spaced at
-  /// least 100 ms apart so one burst does not collapse the limit.
+  /// AIMD concurrency limit under the static worker count: additive
+  /// increase (+1 after a limit's worth of clean completions, up to the
+  /// worker count), multiplicative decrease (* 0.7, floored at 1) on every
+  /// overload signal (deadline or CoDel shed), decreases spaced at least
+  /// 100 ms apart so one burst does not collapse the limit.
   bool aimd = false;
-  int aimd_min = 1;
-  /// Upper bound for additive growth; 0 = the configured worker count.
-  int aimd_max = 0;
-  double aimd_beta = 0.7;
 };
 
 struct ServerConfig {
@@ -127,7 +120,8 @@ struct ServerConfig {
   /// server at one agent of a federated mesh reaches the whole mesh.
   std::vector<net::Endpoint> agents;
   /// Max requests executing concurrently; excess waits (and counts toward
-  /// the reported workload).
+  /// the reported workload). The handler pool has this many threads plus
+  /// four for control messages and admission.
   int workers = 2;
   /// Reject (SERVER_OVERLOADED, retryable) instead of queueing once this
   /// many requests are already waiting; 0 disables the hard queue bound.
@@ -413,20 +407,30 @@ class ComputeServer {
 
   /// One admitted SolveRequest, visible (keyed by request_id) from its
   /// admission until its reply: the CANCEL handler and the drain sweep trip
-  /// the token; the owning connection thread polls it while queued (cv
-  /// predicate) and while computing (kernel checkpoints). request_ids are
-  /// client-minted, so collisions across clients are possible — hence a
-  /// multimap; a cancel simply trips every job carrying the id.
+  /// the token, which the kernel polls at its checkpoints, and unlink the
+  /// job if it still waits. request_ids are client-minted, so collisions
+  /// across clients are possible — hence a multimap; a cancel simply trips
+  /// every job carrying the id. While it waits, the wait queue owns the job;
+  /// once granted, the thread that runs it does.
   struct ActiveJob {
     cancel::Token token;
+    /// True until the job starts running (a granted job still in the pool's
+    /// FIFO counts as queued).
     std::atomic<bool> queued{true};
-    /// The request itself lives with the job (not on the connection thread's
-    /// stack) so journal compaction and drain migration can re-serialize it.
+    /// The request itself lives with the job so journal compaction and
+    /// drain migration can re-serialize it.
     proto::SolveRequest request;
+    /// The connection a live solve replies on; empty for recovered,
+    /// transferred and adopted jobs, whose result is stored for PROBE.
+    net::ConnHold conn;
+    /// Started at receipt (live solves) or at readmission; span offsets.
+    Stopwatch since_receipt;
+    /// Started at admission: result.queue_seconds and the queue-wait span.
+    Stopwatch queue_watch;
     /// Iteration-granular progress/snapshot channel bound around execute().
     checkpoint::Token ckpt;
     std::atomic<bool> started{false};
-    /// Set by the drain sweep just before cancelling: the owning thread
+    /// Set by the drain sweep just before cancelling: the running thread
     /// forwards the latest checkpoint to a peer instead of replying
     /// kCancelled.
     std::atomic<bool> migrate{false};
@@ -446,14 +450,34 @@ class ComputeServer {
     /// released in one step when the job reaches any terminal path.
     std::uint64_t mem_charged_bytes = 0;
     /// Payload parked in the spill store; request.args is empty until the
-    /// dispatch-time reload (guarded by active_jobs_mu_ against concurrent
-    /// journal compaction, which must read the spill file instead).
+    /// granted job reloads it as it starts (guarded by active_jobs_mu_
+    /// against concurrent journal compaction, which must read the spill
+    /// file instead).
     bool spilled = false;
     std::int64_t admitted_wall_us = 0;        // ADMITTED record stamp
     double admit_deadline_remaining_s = 0.0;  // budget left at admission
     /// Absolute deadline fixed at enqueue (1e300 = none); read by the
     /// migration path to compute the hand-off budget.
     double deadline_abs = 1e300;
+
+    // ---- the wait queue's view (under jobs_mu_) ----
+    std::pair<double, std::uint64_t> queue_key;  // EDF (deadline, seq) or (0, seq)
+    double enqueue_time = 0.0;                   // now_seconds() at admission
+    double est_service_s = 0.0;                  // predicted compute time (0 = unknown)
+    /// Payload bytes released to the spill store while waiting; the
+    /// dispatcher re-charges them at grant (the reload re-materializes the
+    /// payload in RAM).
+    std::uint64_t spilled_bytes = 0;
+    /// Set by the dispatcher when it sheds the job: why, and the
+    /// backpressure hint for the reply.
+    const char* shed_reason = nullptr;
+    double retry_after_s = 0.0;
+    /// In wait_queue_: admitted, and neither granted, shed nor unlinked.
+    bool waiting = false;
+    /// The admitting handler is writing the payload to the spill store with
+    /// jobs_mu_ dropped. The dispatcher still grants or sheds the job, but
+    /// leaves acting on it to that handler; cancel and stop leave it queued.
+    bool spilling = false;
 
     // ---- checkpoint replication state ----
     // Touched only from the owning kernel thread (the on_snapshot callback
@@ -481,33 +505,10 @@ class ComputeServer {
     double backoff_s = 0.0;          // decorrelated-jitter failure backoff
   };
 
-  /// One request waiting in the admission queue. Lives on the owning
-  /// connection thread's stack; registered in `wait_queue_` (under
-  /// `jobs_mu_`) between admission and the dispatcher's decision. The
-  /// dispatcher either grants it a worker slot (`ready`) or sheds it
-  /// (`dropped` + the retryable reply to send); the owner wakes on the
-  /// shared condvar and acts on whichever flag is set.
-  struct WaitEntry {
-    std::pair<double, std::uint64_t> key;  // EDF (deadline, seq) or (0, seq)
-    double enqueue_time = 0.0;             // now_seconds() at admission
-    double deadline_abs = 0.0;             // absolute deadline; huge if none
-    double est_service_s = 0.0;            // predicted compute time (0 = unknown)
-    std::uint64_t client_id = 0;
-    bool ready = false;
-    bool dropped = false;
-    const char* drop_reason = "";
-    double retry_after_s = 0.0;            // backpressure hint for the reply
-    // ---- memory accounting (all under jobs_mu_) ----
-    /// Working-set bytes the dispatcher must charge before granting.
-    std::uint64_t ws_bytes = 0;
-    /// Payload bytes released to the spill store while waiting; the
-    /// dispatcher re-charges them at grant (the reload re-materializes the
-    /// payload in RAM).
-    std::uint64_t spilled_bytes = 0;
-    /// Bytes the dispatcher actually charged at grant; the owner folds this
-    /// into ActiveJob::mem_charged_bytes after waking.
-    std::uint64_t granted_bytes = 0;
-  };
+  /// What dispatch passes decided, for their caller to carry out once
+  /// jobs_mu_ is released: jobs granted a worker slot, and jobs shed at
+  /// dequeue (those with shed_reason and retry_after_s set).
+  using Decisions = std::vector<std::shared_ptr<ActiveJob>>;
 
   ComputeServer(ServerConfig config, net::TcpListener listener, double rated_mflops);
 
@@ -522,7 +523,8 @@ class ComputeServer {
   /// Runs on a pool thread; returns false to drop the connection (protocol
   /// violation, injected drop, shutdown).
   bool handle_message(const net::ReactorConnPtr& conn, net::Message&& msg);
-  /// The SolveRequest path: failure injection, admission, execution, reply.
+  /// The SolveRequest path: failure injection, admission, and — when the
+  /// job is granted a slot at once — execution and reply on this thread.
   bool handle_solve(const net::ReactorConnPtr& conn, const serial::Bytes& payload);
   void report_loop();
   void send_workload_report(double workload);
@@ -530,10 +532,25 @@ class ComputeServer {
   /// model and this server's rating (0 = no model / unknown problem).
   double estimate_service_seconds(const proto::SolveRequest& request) const;
   // ---- admission queue internals; all *_locked require jobs_mu_ ----
+  /// Admission for one registered job: the rejections (skipped on readmit),
+  /// the payload charge, the enqueue and a dispatch pass, then the payload
+  /// spill if the job still waits. Returns true when `job` itself was
+  /// granted a slot: the caller runs it. Every other decision is carried out
+  /// here.
+  bool admit(const std::shared_ptr<ActiveJob>& job);
   /// Fill free worker slots from the wait queue in EDF order, shedding
-  /// expired / CoDel-flagged entries along the way. Called after every
-  /// enqueue and every slot release.
-  void dispatch_locked();
+  /// expired / CoDel-flagged jobs along the way, and add the decisions to
+  /// `decided`. Called after every enqueue and every slot release; the
+  /// caller carries the decisions out.
+  void dispatch_locked(Decisions& decided);
+  /// The shed replies and the launches; jobs_mu_ not held.
+  void carry_out(Decisions&& decided);
+  /// Give a granted slot back and carry out the dispatch pass that follows.
+  /// `clean_service_s` is a successful job's service time (AIMD growth and
+  /// the retry_after EWMA).
+  void release_slot(std::optional<double> clean_service_s = std::nullopt);
+  /// Take `job` out of the wait queue and the waiting counts.
+  void unqueue_locked(ActiveJob& job);
   int effective_concurrency_locked() const;
   /// Backpressure hint: expected time until a waiting slot frees, from the
   /// service-time EWMA and the current queue depth.
@@ -544,19 +561,20 @@ class ComputeServer {
   void aimd_on_overload_locked(double now);
   void record_sojourn_locked(double sojourn);
   double sojourn_p95_locked() const;
-  /// Remove `entry` from the wait queue if the dispatcher has not already
-  /// taken it (cancel / shutdown while queued).
-  void remove_wait_entry_locked(WaitEntry& entry);
   /// Decide failure injection for one request; returns the triggered mode.
   FailureSpec::Mode roll_failure();
-  /// Trip the token of every active job carrying `request_id`; returns the
-  /// most-advanced state found (running > queued > completed/unknown).
+  /// Trip the token of every active job carrying `request_id`, and unlink
+  /// and answer (kCancelled) those still waiting; returns the most-advanced
+  /// state found (running > queued > completed/unknown).
   proto::CancelOutcome cancel_jobs(std::uint64_t request_id);
   /// The drain worker: deregister, wait out the queue, cancel stragglers.
   void drain_work(double deadline_s);
-  /// Wake every job blocked on jobs_cv_ so it re-checks its token and
-  /// stopping_.
-  void wake_queued_jobs();
+  /// Stop or crash: unlink every waiting job and drop it as a crash would —
+  /// its memory released, no terminal record, no count and no reply (its
+  /// connection is closed), so replay re-admits it.
+  void abandon_queued_jobs();
+  /// End one job with no terminal state (see abandon_queued_jobs).
+  void abandon(const std::shared_ptr<ActiveJob>& job);
   /// Fire-and-forget DeregisterServer to every agent this server registered
   /// with, so rankings exclude it immediately.
   void deregister_from_agents();
@@ -572,17 +590,17 @@ class ComputeServer {
   // to drop a job.
 
   /// mkdir the data dir, replay + open the journal, rebuild unfinished jobs
-  /// (launched by start() once the reactor is up), and compact the replayed
+  /// (admitted by start() once the reactor is up), and compact the replayed
   /// history. Called once from start().
   Status open_journal();
   void restore_from_replay(ReplaySummary replay);
-  /// Run a registered job with no client connection waiting on it (recovered,
-  /// transferred or adopted) on the reactor's handler pool, whose threads
-  /// stop() joins. The caller re-attaches with PROBE for the result.
+  /// Run a granted job on the reactor's handler pool, whose threads stop()
+  /// joins.
   void launch(std::shared_ptr<ActiveJob> job);
   /// Re-admit a job another incarnation or peer accepted first: register it,
   /// journal its ADMITTED record and the carried snapshot (copied only when
-  /// journaled), install the snapshot to resume from, and launch it.
+  /// journaled), install the snapshot to resume from, and admit it; it
+  /// waits in the wait queue like a live solve.
   void readmit(proto::SolveRequest request, double deadline_s,
                checkpoint::Snapshot snapshot);
   /// Append one record; silent no-op without an open journal.
@@ -601,11 +619,15 @@ class ComputeServer {
   /// Rewrite the journal with only live records once it outgrows the bound.
   void maybe_compact();
   std::vector<JournalRecord> collect_live_records_locked();
-  /// Admission queue + execution + terminal accounting for one registered
-  /// job. Returns the reply to send, or nullptr when the server is stopping
-  /// or crashed (no reply must leave).
-  std::shared_ptr<const proto::SolveResult> run_job(const std::shared_ptr<ActiveJob>& job,
-                                                    const Stopwatch& since_receipt);
+  /// Execution and terminal accounting for one granted job, live or not:
+  /// reload a spilled payload, run the kernel, then reply(). A stop or
+  /// crash ends it with no reply (abandon).
+  void run(const std::shared_ptr<ActiveJob>& job);
+  /// finish_job, then send the result on the job's connection if it has one.
+  void reply(const std::shared_ptr<ActiveJob>& job, proto::SolveResult&& result);
+  /// A waiting job reached by a cancel: answered kCancelled (or, once the
+  /// server is stopping, abandoned).
+  void cancel_queued(const std::shared_ptr<ActiveJob>& job);
   void erase_active_job(const std::shared_ptr<ActiveJob>& job,
                         std::uint64_t request_id);
   /// PROBE: the most-advanced state known for request_id.
@@ -681,17 +703,18 @@ class ComputeServer {
   std::mutex active_jobs_mu_;
   std::multimap<std::uint64_t, std::shared_ptr<ActiveJob>> active_jobs_;
 
-  // Admission queue + worker-pool capacity gate. Connection threads insert
-  // a WaitEntry and block on jobs_cv_; dispatch_locked() hands out worker
-  // slots in EDF order and sheds what cannot meet its deadline.
+  // Admission queue + worker-slot gate. The wait queue owns each admitted
+  // job until dispatch_locked() grants it a slot in EDF order or sheds it;
+  // running_jobs_ never exceeds the worker count. Only cancel_jobs holds
+  // jobs_mu_ and active_jobs_mu_ together (it looks a job up and unlinks it
+  // in one step), taking both at once with std::scoped_lock; nothing takes
+  // active_jobs_mu_ while holding jobs_mu_, or the reverse.
   mutable std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
   int running_jobs_ = 0;
-  int waiting_jobs_ = 0;
-  std::multimap<std::pair<double, std::uint64_t>, WaitEntry*> wait_queue_;
+  std::map<std::pair<double, std::uint64_t>, std::shared_ptr<ActiveJob>> wait_queue_;
   std::uint64_t queue_seq_ = 0;
   std::map<std::uint64_t, int> waiting_by_client_;
-  /// AIMD state: the fractional limit (effective limit = floor, >= aimd_min)
+  /// AIMD state: the fractional limit (effective limit = floor, >= 1)
   /// and the clean-completion count toward the next additive increase.
   double concurrency_limit_f_ = 0.0;
   int aimd_successes_ = 0;
@@ -715,7 +738,7 @@ class ComputeServer {
   /// Guards the journal and the terminal-record protocol (see above).
   mutable std::mutex journal_mu_;
   Journal journal_;
-  /// Jobs rebuilt from the journal, launched by start() once the reactor is up.
+  /// Jobs rebuilt from the journal, admitted by start() once the reactor is up.
   std::vector<std::shared_ptr<ActiveJob>> recovered_jobs_;
   /// Terminal results kept for re-attaching probes, bounded FIFO by count
   /// and by kMaxStoredResultBytes.

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <vector>
 
 #include "client/client.hpp"
@@ -18,6 +17,7 @@
 #include "testkit/cluster.hpp"
 
 #include "conservation.hpp"
+#include "threads.hpp"
 
 namespace ns {
 namespace {
@@ -33,30 +33,6 @@ bool eventually(Pred pred, double timeout_s = 5.0) {
     sleep_seconds(0.005);
   }
   return pred();
-}
-
-// Threads of this process right now.
-std::size_t thread_count() {
-  std::size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    ++n;
-  }
-  return n;
-}
-
-// The thread count once it has held still for 300 ms (or after 5 s).
-std::size_t settled_thread_count() {
-  std::size_t last = thread_count();
-  int still = 0;
-  const Deadline deadline(5.0);
-  while (still < 6 && !deadline.expired()) {
-    sleep_seconds(0.05);
-    const std::size_t now = thread_count();
-    still = now == last ? still + 1 : 0;
-    last = now;
-  }
-  return last;
 }
 
 serial::Bytes encode_solve(std::uint64_t request_id, std::int64_t mflop) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "testkit/cluster.hpp"
 
 #include "conservation.hpp"
+#include "threads.hpp"
 
 namespace ns {
 namespace {
@@ -309,7 +311,6 @@ TEST(OverloadTest, CodelShedsAndAimdBacksOffUnderSustainedPressure) {
   admission.codel_target_s = 0.05;
   admission.codel_interval_s = 0.1;
   admission.aimd = true;
-  admission.aimd_min = 1;
   testkit::ClusterConfig config;
   config.servers = testkit::uniform_pool(1, /*workers=*/2);
   config.servers[0].slowdown_mode = server::SlowdownMode::kSleep;
@@ -357,6 +358,110 @@ TEST(OverloadTest, CodelShedsAndAimdBacksOffUnderSustainedPressure) {
   const auto* sojourn = snap.value().find("server.queue_sojourn_s");
   ASSERT_NE(sojourn, nullptr);
   EXPECT_GE(sojourn->count, 1u);
+  conservation::expect_conserved(*cluster.value(), tally);
+}
+
+// ---- the wait queue owns its jobs ----
+
+// One single-worker server rated 500 Mflop/s that sleeps its simwork:
+// simwork(m) takes m / 500 seconds.
+Result<std::unique_ptr<testkit::TestCluster>> one_worker_cluster(double io_timeout_s) {
+  testkit::ClusterConfig config;
+  config.servers = testkit::uniform_pool(1, /*workers=*/1);
+  config.servers[0].slowdown_mode = server::SlowdownMode::kSleep;
+  config.rating_base = 500.0;
+  config.io_timeout_s = io_timeout_s;
+  return testkit::TestCluster::start(std::move(config));
+}
+
+// 300 solves pipelined over one connection to a one-worker server: one runs
+// and the queue holds the rest, none of them on a thread. The handler pool
+// keeps its workers + 4 threads, the reported workload counts every job,
+// and control messages are answered at once instead of waiting behind
+// queued solves in the pool's FIFO.
+TEST(OverloadTest, QueuedSolvesHoldNoThread) {
+  constexpr std::uint64_t kJobs = 300;
+  constexpr std::size_t kPoolThreads = 1 + 4;  // workers + 4
+  auto cluster = one_worker_cluster(/*io_timeout_s=*/10.0);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
+  auto& server = cluster.value()->server(0);
+  const net::Endpoint endpoint = server.endpoint();
+  const std::size_t settled = settled_thread_count();
+
+  // simwork(1500) sleeps 3 s, so no job ends while the test looks.
+  auto conn = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn.ok()) << conn.error().to_string();
+  for (std::uint64_t id = 1; id <= kJobs; ++id) {
+    ASSERT_TRUE(net::send_message(conn.value(),
+                                  static_cast<std::uint16_t>(proto::MessageType::kSolveRequest),
+                                  encode_solve(id, 1500))
+                    .ok());
+  }
+  EXPECT_TRUE(eventually([&] { return server.current_workload() == kJobs; }))
+      << "workload " << server.current_workload() << " of " << kJobs << " jobs";
+  EXPECT_LE(thread_count(), settled + kPoolThreads);
+
+  const Stopwatch cancel_watch;
+  auto ack = client::cancel_request(endpoint, kJobs);
+  const double cancel_s = cancel_watch.elapsed();
+  ASSERT_TRUE(ack.ok()) << ack.error().to_string();
+  EXPECT_EQ(ack.value().outcome, proto::CancelOutcome::kQueued);
+  EXPECT_LT(cancel_s, 0.25) << "CANCEL waited behind queued solves";
+
+  auto ping_conn = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(ping_conn.ok()) << ping_conn.error().to_string();
+  const Stopwatch ping_watch;
+  ASSERT_TRUE(net::send_message(ping_conn.value(),
+                                static_cast<std::uint16_t>(proto::MessageType::kPing), {})
+                  .ok());
+  auto pong = net::recv_message(ping_conn.value(), 5.0);
+  const double ping_s = ping_watch.elapsed();
+  ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+  EXPECT_EQ(pong.value().type, static_cast<std::uint16_t>(proto::MessageType::kPong));
+  EXPECT_LT(ping_s, 0.25) << "PING waited behind queued solves";
+
+  // Cancel the rest; every job answers on the connection it came in on.
+  for (std::uint64_t id = 1; id < kJobs; ++id) {
+    ASSERT_TRUE(client::cancel_request(endpoint, id).ok());
+  }
+  std::map<std::uint64_t, ErrorCode> replies;
+  for (std::uint64_t i = 0; i < kJobs; ++i) {
+    auto result = recv_solve_result(conn.value(), 10.0);
+    ASSERT_TRUE(result.ok()) << result.error().to_string() << " after " << i << " replies";
+    replies[result.value().request_id] = static_cast<ErrorCode>(result.value().error_code);
+  }
+  EXPECT_EQ(replies.size(), kJobs);
+  EXPECT_EQ(replies[kJobs], ErrorCode::kCancelled);
+  EXPECT_EQ(server.cancelled_queued() + server.cancelled_running() + server.completed(), kJobs);
+  conservation::expect_conserved(*cluster.value(), tally);
+}
+
+// A queued job keeps its connection open through the reactor's idle sweep:
+// the connection stays silent longer than the idle timeout (5 s here) while
+// its job waits behind a 6 s one, and the reply still arrives on it.
+TEST(OverloadTest, QueuedReplyOutlivesIdleTimeout) {
+  auto cluster = one_worker_cluster(/*io_timeout_s=*/1.0);
+  ASSERT_TRUE(cluster.ok()) << cluster.error().to_string();
+  const auto tally = conservation::ClientTally::now();
+  const net::Endpoint endpoint = cluster.value()->server(0).endpoint();
+  const auto solve = static_cast<std::uint16_t>(proto::MessageType::kSolveRequest);
+
+  auto conn_a = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn_a.ok()) << conn_a.error().to_string();
+  ASSERT_TRUE(net::send_message(conn_a.value(), solve, encode_solve(1, 3000)).ok());
+  auto conn_b = net::TcpConnection::connect(endpoint);
+  ASSERT_TRUE(conn_b.ok()) << conn_b.error().to_string();
+  ASSERT_TRUE(net::send_message(conn_b.value(), solve, encode_solve(2, 5)).ok());
+
+  auto result_b = recv_solve_result(conn_b.value(), 15.0);
+  ASSERT_TRUE(result_b.ok()) << result_b.error().to_string();
+  EXPECT_EQ(result_b.value().request_id, 2u);
+  EXPECT_EQ(result_b.value().error_code, 0u);
+  EXPECT_GT(result_b.value().queue_seconds, 5.0);
+  auto result_a = recv_solve_result(conn_a.value(), 5.0);
+  ASSERT_TRUE(result_a.ok()) << result_a.error().to_string();
+  EXPECT_EQ(result_a.value().error_code, 0u);
   conservation::expect_conserved(*cluster.value(), tally);
 }
 

@@ -1,4 +1,4 @@
-// Tests for the event-driven transport core: the epoll reactor, the elastic
+// Tests for the event-driven transport core: the epoll reactor, the fixed
 // task pool, the keep-alive connection pool, and the pipelining mux channel.
 //
 // The reactor under test runs a tiny echo protocol: request type kEchoReq
@@ -29,6 +29,8 @@
 #include "net/socket.hpp"
 #include "net/task_pool.hpp"
 #include "net/transport.hpp"
+
+#include "threads.hpp"
 
 namespace ns::net {
 namespace {
@@ -226,6 +228,27 @@ TEST(ReactorTest, StopAcceptingReleasesPortButServesExisting) {
   auto reply = recv_message(conn.value(), 5.0);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(payload_id(reply.value().payload), 9u);
+}
+
+// An inline-handler reactor (the agent's) runs every handler on its loop
+// thread, so it starts no handler pool: one thread in all.
+TEST(ReactorTest, InlineReactorAddsOnlyItsLoopThread) {
+  // A sanitizer runtime may start a helper thread along with the first
+  // thread the process creates; create one before counting.
+  std::thread([] {}).join();
+  const std::size_t before = settled_thread_count();
+  ReactorConfig config;
+  config.inline_handlers = true;
+  EchoServer server(config);
+  EXPECT_EQ(thread_count(), before + 1);
+  EXPECT_FALSE(server.reactor().submit([] {})) << "an inline reactor accepted a pool task";
+
+  auto conn = TcpConnection::connect(server.endpoint());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE(send_message(conn.value(), kEchoReq, make_payload(3)).ok());
+  auto reply = recv_message(conn.value(), 5.0);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(payload_id(reply.value().payload), 3u);
 }
 
 // ---- read-path fuzz: hostile bytes must close the peer, never the loop ----
@@ -1098,35 +1121,80 @@ TEST(ScatterSendTest, QueuedGatheredReplyOutlivesItsSender) {
 
 // ---- task pool ----
 
-// The pool grows past its core threads when handlers block: N blocking
-// tasks with N > core must all run concurrently.
-TEST(TaskPoolTest, GrowsBeyondCoreThreadsUnderBlockingLoad) {
+// A fixed pool never grows: with every thread blocked, the next task waits
+// in the FIFO and runs once a thread frees. stop() drops what is still
+// pending and joins the tasks already running.
+TEST(TaskPoolTest, FixedPoolQueuesExcessTasksAndStopJoins) {
   TaskPool pool;
-  pool.start(/*core_threads=*/2, /*max_threads=*/16);
+  pool.start(/*threads=*/2);
+  EXPECT_EQ(pool.thread_count(), 2u);
 
-  constexpr int kTasks = 6;
   std::mutex mu;
   std::condition_variable cv;
-  int started = 0;
-  bool release = false;
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_TRUE(pool.submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++started;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }));
-  }
-  {
+  int running = 0;
+  int finished = 0;
+  int permits = 0;
+  const auto blocking = [&] {
     std::unique_lock<std::mutex> lock(mu);
-    const bool all_started = cv.wait_for(lock, std::chrono::seconds(5),
-                                         [&] { return started == kTasks; });
-    EXPECT_TRUE(all_started) << "pool did not grow past core threads; started=" << started;
-    release = true;
+    ++running;
     cv.notify_all();
-  }
-  pool.stop();
-  EXPECT_GE(pool.thread_count(), 0u);  // stop() joined everything without deadlock
+    cv.wait(lock, [&] { return permits > 0; });
+    --permits;
+    --running;
+    ++finished;
+    cv.notify_all();
+  };
+  const auto release = [&](int n) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      permits += n;
+    }
+    cv.notify_all();
+  };
+  const auto await = [&](auto pred) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5), pred);
+  };
+  const auto eventually_set = [](const std::atomic<bool>& flag) {
+    const Deadline deadline(5.0);
+    while (!flag.load() && !deadline.expired()) sleep_seconds(0.005);
+    return flag.load();
+  };
+
+  ASSERT_TRUE(pool.submit(blocking));
+  ASSERT_TRUE(pool.submit(blocking));
+  ASSERT_TRUE(await([&] { return running == 2; }));
+  std::atomic<bool> third_ran{false};
+  ASSERT_TRUE(pool.submit([&] { third_ran = true; }));
+  sleep_seconds(0.1);
+  EXPECT_FALSE(third_ran.load()) << "a third task ran while both threads were blocked";
+  EXPECT_EQ(pool.thread_count(), 2u) << "the pool grew";
+
+  release(1);
+  EXPECT_TRUE(eventually_set(third_ran)) << "the queued task did not run once a thread freed";
+
+  // Both threads blocked again and one task pending: stop() drops the
+  // pending task, and returns only once the running ones have finished.
+  ASSERT_TRUE(pool.submit(blocking));
+  ASSERT_TRUE(await([&] { return running == 2; }));
+  std::atomic<bool> pending_ran{false};
+  ASSERT_TRUE(pool.submit([&] { pending_ran = true; }));
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    pool.stop();
+    stopped = true;
+  });
+  // stop() takes the threads and clears the FIFO in one step.
+  const Deadline begun(5.0);
+  while (pool.thread_count() != 0 && !begun.expired()) sleep_seconds(0.005);
+  EXPECT_FALSE(pool.submit([] {})) << "submit accepted after stop() began";
+  sleep_seconds(0.05);
+  EXPECT_FALSE(stopped.load()) << "stop() returned while tasks were still running";
+  release(2);
+  stopper.join();
+  EXPECT_FALSE(pending_ran.load()) << "stop() ran a pending task";
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(finished, 3);
 }
 
 // ---- connection pool (leases) ----
